@@ -19,7 +19,8 @@ their inputs are made):
   batches to a server process built from ``serve``'s parts, with a
   dashboard read mix, then sealing every tenant (``ingest_client.py``).
 
-End-to-end metrics (``--trace 0``), each printed with its sample count:
+End-to-end metrics (``--trace 0``), each printed with its sample count;
+``BENCHMARK.json`` gates these five:
 
 * ``throughput_rps`` -- test records / wall time from the first line
   handed to the route until every prediction list is final; median
@@ -29,21 +30,27 @@ End-to-end metrics (``--trace 0``), each printed with its sample count:
   request); median over the set-ups of a run.
 * ``peak_rss_mb`` -- peak RSS of the process running the route (for
   ``ingest``, the server).
-* ``write_p50_ms``/``write_p95_ms`` -- one call handing records to the
-  system, until it returns: a 4096-record ``feed_chunk`` (``stream``), a
-  1024-record ``route_batch`` with its pump (``fleet``), ``POST
-  /ingest/<tenant>`` to its ack, retries included (``ingest``).  p95,
-  not p99: a run of ``stream`` has ~300 writes, and a percentile needs
-  at least ten samples beyond it.
-* ``read_p50_ms``/``read_p90_ms`` -- one dashboard read: a refresh of the
-  ``/metrics`` and ``/state`` documents rendered in-process after each
-  pass (``stream``, ``fleet``); one ``GET /predictions/<tenant>`` or
-  ``GET /metrics``, a pair after every 8 writes (``ingest``).
+* ``write_p50_ms`` -- one call handing records to the system, until it
+  returns: a 4096-record ``feed_chunk`` (``stream``), a 1024-record
+  ``route_batch`` with its pump (``fleet``), ``POST /ingest/<tenant>``
+  to its ack, retries included (``ingest``).
+* ``read_p50_ms`` -- one dashboard refresh after every 8 writes: ``GET
+  /metrics`` and ``GET /state`` against the telemetry server that
+  ``predict --listen`` and ``fleet --listen`` start (``stream``,
+  ``fleet``; the route's wall time leaves the reads out); ``GET
+  /predictions/<tenant>`` and ``GET /metrics``, competing with the
+  writes and the pump for the API lock (``ingest``).
 
-The report also prints ``failed_frac``, ``refused_frac`` (``ingest``) and
-``write_p99_ms`` where a run has at least 1,000 writes (``ingest``).
-The two fractions are 0 in a correct run, and ``BENCHMARK.json`` cannot
-gate a metric that is 0.
+The report also prints ``failed_frac``, ``refused_frac`` (``ingest``),
+``write_p95_ms``, ``read_p90_ms`` and, where a run has at least 1,000
+writes (``ingest``), ``write_p99_ms``.  None of them is gated.  The two
+fractions are 0 in a correct run, and a gated metric may not be 0.  The
+tails follow the seed more than a bound allows: on ``fleet`` the slowest
+writes are the pumps in which several shards checkpoint at once, 2 to 7
+of a pass's ~41 writes depending on how the seed's records fall on the
+tenants, so write p95 ranged from 40 to 62 ms over six seeds on a 2-vCPU
+VM; and a run of ``stream`` or ``fleet`` makes 30 to 60 reads, too few
+for a p90 with ten samples beyond it.
 With ``--trace 1`` the run alternates untraced and traced passes and
 prints the layer budget (``layers.py``) instead.
 
@@ -84,9 +91,15 @@ END_TO_END = {
     "setup_s": "s",
     "peak_rss_mb": "MiB",
     "write_p50_ms": "ms",
-    "write_p95_ms": "ms",
     "read_p50_ms": "ms",
-    "read_p90_ms": "ms",
+}
+
+#: tail latencies the report prints but BENCHMARK.json does not gate:
+#: name -> (samples, percentile, fewest samples to print it)
+TAILS = {
+    "write_p95_ms": ("writes", 95, 1),
+    "write_p99_ms": ("writes", 99, 1000),
+    "read_p90_ms": ("reads", 90, 1),
 }
 
 
@@ -102,9 +115,7 @@ def end_to_end(result):
                     len(result["setups"])),
         "peak_rss_mb": (result["peak_rss_mb"], 1),
         "write_p50_ms": (percentile(writes, 50), len(writes)),
-        "write_p95_ms": (percentile(writes, 95), len(writes)),
         "read_p50_ms": (percentile(reads, 50), len(reads)),
-        "read_p90_ms": (percentile(reads, 90), len(reads)),
     }
     return {name: {"value": value, "unit": END_TO_END[name], "n": n}
             for name, (value, n) in values.items()}
@@ -128,11 +139,12 @@ def report(args, meta, result, metrics):
     for name, (part, whole) in fracs.items():
         lines.append(f"{name:<28} {part / max(1, whole):.6g} fraction "
                      f"(n={whole})")
-    writes = result.get("writes", [])
-    if len(writes) >= 1000:
-        lines.append(f"{'write_p99_ms':<28} "
-                     f"{common.percentile(writes, 99):.6g} ms "
-                     f"(n={len(writes)})")
+    for name, (key, q, fewest) in TAILS.items():
+        samples = result[key]
+        if len(samples) >= fewest:
+            lines.append(f"{name:<28} "
+                         f"{common.percentile(samples, q):.6g} ms "
+                         f"(n={len(samples)})")
     for name, m in metrics.items():
         n = f" (n={m['n']})" if "n" in m else ""
         lines.append(f"{name:<28} {m['value']:.6g} {m['unit']}{n}")
@@ -171,7 +183,7 @@ def main(argv=None):
     ap.add_argument("--workload", required=True,
                     choices=("stream", "fleet", "ingest"))
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=15.0)
+    ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args(argv)
     # a terminated run still stops its worker (see run_worker)

@@ -5,11 +5,11 @@ Usage (from the repository root)::
     python3 perfbench/sweep.py --workloads stream fleet ingest \\
         --seeds 1 2 3 4 5 6 7 8 9 10 --seconds 12 --out sweep.json
 
-Runs ``run.py`` once per (workload, seed), one at a time, and prints per
-metric the median, the first and third quartiles
-(``statistics.quantiles(values, n=4)``) and their distance as a share
-of the median -- the spread a benchmark bound has to cover.  ``--out``
-also keeps every run's metrics.
+Runs ``run.py`` once per (workload, seed), one at a time and with
+tracing off, and prints per metric the median, the first and third
+quartiles (``statistics.quantiles(values, n=4)``) and their distance as
+a share of the median -- the spread a benchmark bound has to cover.
+``--out`` also keeps every run's metrics.
 """
 
 from __future__ import annotations
@@ -27,10 +27,10 @@ from pathlib import Path
 RUN = Path(__file__).resolve().parent / "run.py"
 
 
-def one_run(workload, seed, seconds, trace):
+def one_run(workload, seed, seconds):
     proc = subprocess.run(
         [sys.executable, str(RUN), "--workload", workload, "--seed",
-         str(seed), "--seconds", str(seconds), "--trace", str(trace)],
+         str(seed), "--seconds", str(seconds), "--trace", "0"],
         stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
     )
     last = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() \
@@ -59,7 +59,6 @@ def main(argv=None):
     ap.add_argument("--seeds", nargs="+", type=int,
                     default=list(range(1, 11)))
     ap.add_argument("--seconds", type=float, default=12.0)
-    ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--out", type=Path, default=None)
     args = ap.parse_args(argv)
     doc = {"machine": {
@@ -73,7 +72,7 @@ def main(argv=None):
     for workload in args.workloads:
         runs = []
         for seed in args.seeds:
-            runs.append(one_run(workload, seed, args.seconds, args.trace))
+            runs.append(one_run(workload, seed, args.seconds))
             print(f"{workload} seed {seed}: " + ", ".join(
                 f"{k}={v:.4g}" for k, v in runs[-1].items()), flush=True)
         summary = summarize(runs) if len(runs) > 1 else {}

@@ -5,15 +5,17 @@
 is the same for every workload: set up ``SETUPS`` times (the median is
 ``setup_s``), one warm-up pass, then timed passes until ``--seconds``
 have been measured, then the reference check.  Every timed pass starts
-from fresh serving objects and a collected heap.  With ``--trace 1``
-untraced and traced passes alternate; the traced ones give the layer
-budget and the untraced ones the tracing overhead.
+from fresh serving objects and a collected heap.  During every pass a
+dashboard polls the run's telemetry server (:class:`Dashboard`).  With
+``--trace 1`` untraced and traced passes alternate; the traced ones give
+the layer budget and the untraced ones the tracing overhead.
 """
 
 from __future__ import annotations
 
 import argparse
 import copy
+import http.client
 import json
 import shutil
 import sys
@@ -28,8 +30,9 @@ SETUPS = 3
 STREAM_CHUNK = 4096
 #: fleet: records per ``Fleet.route_batch`` call, the default pump cadence
 FLEET_WRITE = 1024
-#: stream and fleet: dashboard refreshes after each timed pass
-READ_ROUNDS = 20
+#: one dashboard refresh after every this many writes: the read cadence
+#: of the ``ingest`` workload's traffic
+READ_EVERY = 8
 
 
 class Pass:
@@ -61,25 +64,66 @@ def snapshot_counters(p):
         p.counters[name] = counter(name)
 
 
+class Dashboard:
+    """A dashboard polling ``predict --listen`` or ``fleet --listen``.
+
+    Those commands serve the live telemetry from a ``TelemetryServer``;
+    this one is started once per run.  After every ``READ_EVERY`` writes
+    it refreshes: ``GET /metrics`` and ``GET /state``, each on a fresh
+    connection, from the thread that writes.  One refresh is one read;
+    timing the two documents apart would put the median on the edge
+    between their two sizes.  ``seconds`` is the time the reads took,
+    which the pass's wall time leaves out: the route's throughput does
+    not include its dashboard.
+    """
+
+    def __init__(self, port, p):
+        self.port = port
+        self.p = p
+        self.seconds = 0.0
+
+    def wrote(self, ms):
+        self.p.writes.append(ms)
+        if len(self.p.writes) % READ_EVERY:
+            return
+        r0 = perf_counter()
+        for path in ("/metrics", "/state"):
+            conn = http.client.HTTPConnection("127.0.0.1", self.port,
+                                              timeout=30.0)
+            try:
+                conn.request("GET", path)
+                resp = conn.getresponse()
+                resp.read()
+            finally:
+                conn.close()
+            if resp.status != 200:
+                raise RuntimeError(f"GET {path} answered {resp.status}")
+        r = perf_counter() - r0
+        self.p.reads.append(r * 1e3)
+        self.seconds += r
+
+
 class ChunkTimer:
     """Times each ``ResumableRun.feed_chunk`` call: the stream's writes."""
 
-    def __init__(self, out):
-        self.out = out
+    def __init__(self, dashboard):
+        self.dashboard = dashboard
 
     def install(self):
         from repro.resilience.checkpoint import ResumableRun
 
         self.orig = orig = ResumableRun.__dict__["feed_chunk"]
-        out = self.out
+        dashboard = self.dashboard
 
         def feed_chunk(run, batch, local=None):
             t0 = perf_counter()
             try:
                 return orig(run, batch, local)
             finally:
-                out.append((perf_counter() - t0) * 1e3)
+                dashboard.wrote((perf_counter() - t0) * 1e3)
 
+        # installed over the tracer's wrapper, so the reads stay outside
+        # the feed_chunk span
         ResumableRun.feed_chunk = feed_chunk
 
     def uninstall(self):
@@ -111,10 +155,12 @@ def stream_pass(ctx, p):
     run = ResumableRun(copy.deepcopy(ctx["pristine"]), meta["t_start"],
                        meta["t_end"], batch_size=STREAM_CHUNK)
     cfg = ResilienceConfig()
-    timer = p.tracer if p.traced else ChunkTimer(p.writes)
+    dashboard = Dashboard(ctx["port"], p)
+    timer = ChunkTimer(dashboard)
     common.settle()
     ctx["gcw"].reset()
-    install(timer)
+    install(p.tracer)
+    timer.install()
     t0 = perf_counter()
     try:
         batch = helo_batch.read_log_batch(lines, lenient=True)
@@ -122,8 +168,9 @@ def stream_pass(ctx, p):
         predictions = run.run(clean)
     finally:
         t1 = perf_counter()
-        uninstall(timer)
-    finish_pass(ctx, p, t0, t1, len(lines))
+        timer.uninstall()
+        uninstall(p.tracer)
+    finish_pass(ctx, p, t0, t1, len(lines), dashboard.seconds)
     p.predictions = common.prediction_rows(predictions)
     p.accounting = {
         "lines": len(lines),
@@ -169,8 +216,11 @@ def stream_checks(ctx, p):
     if acc["fed"] != san["records_out"] + san["markers_emitted"]:
         problems.append(f"fed {acc['fed']} of {san['records_out']} "
                         "sanitized records")
-    lost = acc["lines"] - acc["malformed"] - san["deduplicated"] - acc["fed"]
-    return problems, max(0, lost - san["markers_emitted"])
+    # valid records sanitize dropped as too late or dead-lettered
+    lost = san["dropped_late"] + san["quarantined"]
+    if lost:
+        problems.append(f"sanitize lost {lost} records: {san}")
+    return problems, lost
 
 
 # -- fleet -------------------------------------------------------------------
@@ -188,6 +238,7 @@ def fleet_pass(ctx, p):
     meta, lines = ctx["meta"], ctx["test"]
     obs.reset()
     fleet = common.build_fleet(ctx["pristine"], meta, ctx["ckpt"])
+    dashboard = Dashboard(ctx["port"], p)
     common.settle()
     ctx["gcw"].reset()
     install(p.tracer)
@@ -197,13 +248,13 @@ def fleet_pass(ctx, p):
         for a in range(0, len(batch), FLEET_WRITE):
             w0 = perf_counter()
             fleet.route_batch(batch[a:a + FLEET_WRITE])
-            p.writes.append((perf_counter() - w0) * 1e3)
+            dashboard.wrote((perf_counter() - w0) * 1e3)
         fleet.drain()
         out = fleet.finish()
     finally:
         t1 = perf_counter()
         uninstall(p.tracer)
-    finish_pass(ctx, p, t0, t1, len(lines))
+    finish_pass(ctx, p, t0, t1, len(lines), dashboard.seconds)
     p.predictions = {t: common.prediction_rows(out[t]) for t in sorted(out)}
     stats = fleet.router.stats
     p.accounting = {
@@ -213,10 +264,7 @@ def fleet_pass(ctx, p):
         "router": dict(stats),
         "fed": sum(s.records_fed for s in fleet.shards.values()),
     }
-    if "fleet" in ctx:
-        ctx["fleet"].close()
-    # a pass's fleet stays registered for the dashboard reads after it
-    ctx["fleet"] = fleet
+    fleet.close()
     return p
 
 
@@ -269,32 +317,13 @@ def uninstall(timer):
         timer.uninstall()
 
 
-def finish_pass(ctx, p, t0, t1, records):
-    p.wall = t1 - t0
+def finish_pass(ctx, p, t0, t1, records, read_s):
+    p.wall = t1 - t0 - read_s
     p.records = records
     p.t0, p.t1 = t0, t1
     p.gc_pause = ctx["gcw"].pause_s
     p.gc_full = ctx["gcw"].full
     snapshot_counters(p)
-
-
-def dashboard_reads():
-    """The telemetry documents a dashboard polls: ``/metrics``, ``/state``.
-
-    Rendered in-process the way the telemetry server renders them, from
-    the state the pass just left: ``predict --listen`` and ``fleet
-    --listen`` serve these two documents for these routes.
-    """
-    from repro import obs
-    from repro.obs.live import render_prometheus
-
-    reads = []
-    for _ in range(READ_ROUNDS):
-        t0 = perf_counter()
-        render_prometheus(obs.export_state().get("metrics", {}))
-        json.dumps(obs.export_state(), default=str, indent=1)
-        reads.append((perf_counter() - t0) * 1e3)
-    return reads
 
 
 ROUTES = {
@@ -324,22 +353,24 @@ def run_inprocess(args, meta, train, test, work_dir):
         finally:
             setups.append(perf_counter() - t0)
             uninstall(setup_tracer)
+    from repro.obs.live import TelemetryServer
+
+    server = TelemetryServer(host="127.0.0.1", port=0).start()
     ctx = {"meta": meta, "test": test, "pristine": pristine, "gcw": gcw,
-           "ckpt": ckpt}
-    warm = pass_fn(ctx, Pass(traced=False))
-    passes = []
-    measured = 0.0
-    while True:
-        traced = bool(args.trace) and len(passes) % 2 == 1
-        passes.append(pass_fn(ctx, Pass(traced=traced)))
-        measured += passes[-1].wall
-        if not traced:
-            passes[-1].reads = dashboard_reads()
-        if measured >= args.seconds and (
-                not args.trace or any(p.traced for p in passes)):
-            break
-    if "fleet" in ctx:
-        ctx["fleet"].close()
+           "ckpt": ckpt, "port": server.port}
+    try:
+        warm = pass_fn(ctx, Pass(traced=False))
+        passes = []
+        measured = 0.0
+        while True:
+            traced = bool(args.trace) and len(passes) % 2 == 1
+            passes.append(pass_fn(ctx, Pass(traced=traced)))
+            measured += passes[-1].wall
+            if measured >= args.seconds and (
+                    not args.trace or any(p.traced for p in passes)):
+                break
+    finally:
+        server.stop()
     rss = common.peak_rss_mb()
     gcw.stop()
     reference = reference_fn(ctx)
@@ -402,7 +433,7 @@ def inprocess_layers(ctx, setup_tracer, passes):
     feed_s = sum(s["layers"].get(name, (0, 0, 0))[2]
                  for s in summaries for name in ("feed", "finish")) / n
     unattributed = [
-        1.0 - layers.covered(s["top"], p.t0, p.t1) / p.wall
+        1.0 - layers.covered(s["top"], p.t0, p.t1) / (p.t1 - p.t0)
         for s, p in zip(summaries, traced)
     ]
     extra = {
