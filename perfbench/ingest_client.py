@@ -23,6 +23,9 @@ from time import monotonic, perf_counter
 import common
 import layers
 
+#: set-ups per run (fit, fleet, server answering): ``setup_s`` is their
+#: median
+SETUPS = 3
 WRITE_RECORDS = 64
 READ_EVERY = 8
 WARMUP_READS = 10
@@ -166,8 +169,9 @@ def checks(p, n_records, n_writes):
 
 
 def run(args, meta, train, test):
-    """Warm-up pass, then timed passes until ``args.seconds`` are measured;
-    every pass gets a freshly set-up server.  With ``--trace 1`` plain
+    """Set up ``SETUPS`` times (once, traced, with ``--trace 1``), then a
+    warm-up pass and timed passes until ``args.seconds`` are measured;
+    every pass gets a fresh fleet and server.  With ``--trace 1`` plain
     and traced passes alternate."""
     from repro.simulation.trace import parse_log_line
 
@@ -180,6 +184,9 @@ def run(args, meta, train, test):
     passes = []
     measured = 0.0
     try:
+        command = "setup-traced" if args.trace else "setup"
+        setups = [server.ask(command)
+                  for _ in range(1 if args.trace else SETUPS)]
         while True:
             traced = bool(args.trace) and len(passes) % 2 == 0 \
                 and len(passes) > 0
@@ -191,8 +198,7 @@ def run(args, meta, train, test):
                              meta["seed"], tracer, gcw)
             finally:
                 report = server.ask("done")
-            p.update(setup=hello["setup_s"], server=report, traced=traced,
-                     tracer=tracer)
+            p.update(server=report, traced=traced, tracer=tracer)
             passes.append(p)
             if len(passes) > 1:
                 measured += p["wall"]
@@ -215,12 +221,11 @@ def run(args, meta, train, test):
     plain = [p for p in passes if not p["traced"]]
     throttled = sum(p["client"]["throttled"] for p in plain)
     result = {
-        "setups": [p["setup"] for p in [warm] + passes],
+        "setups": [s["setup_s"] for s in setups],
         "passes": [{"wall": p["wall"], "records": len(records),
                     "traced": p["traced"], "gc_pause": p["gc_pause"],
-                    "gc_full": p["gc_full"]} for p in passes],
-        "writes": [w for p in plain for w in p["writes"]],
-        "reads": [r for p in plain for r in p["reads"]],
+                    "gc_full": p["gc_full"], "writes": p["writes"],
+                    "reads": p["reads"]} for p in passes],
         "peak_rss_mb": max(p["server"]["peak_rss_mb"] for p in passes),
         "problems": sorted(set(problems)),
         "attempted": len(records) * len(passes),
@@ -235,13 +240,13 @@ def run(args, meta, train, test):
     if args.trace:
         traced = [p for p in passes if p["traced"]]
         result["layers"] = traced_layers(meta, pristine, records, plain,
-                                         traced)
+                                         traced, setups)
         result["spans"] = [{"client": p["tracer"].export(),
                             "server": p["server"]["spans"]} for p in traced]
     return result
 
 
-def traced_layers(meta, pristine, records, plain, traced):
+def traced_layers(meta, pristine, records, plain, traced, setups):
     summaries = [layers.merge(p["tracer"].summary(), p["server"]["summary"])
                  for p in traced]
     n = len(traced)
@@ -283,5 +288,5 @@ def traced_layers(meta, pristine, records, plain, traced):
                            / common.median([p["wall"] for p in plain])),
         "trace.unattributed_frac": common.median(unattributed),
     }
-    setup = [p["server"]["setup_summary"] for p in traced]
+    setup = [s["setup_summary"] for s in setups]
     return common.layer_metrics(setup, summaries, extra)

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
 import re
 from pathlib import Path
@@ -85,8 +86,12 @@ def mask(message: str) -> str:
     return _VARIABLE.sub("<*>", message)
 
 
-def _scenarios(workload: str, seed: int):
-    """(system, fixed-seed history, seeded traffic, end of the prefix)."""
+def _scenarios(workload: str, seed: int, cache_dir):
+    """(system, fixed-seed history lines, seeded traffic, end of the prefix).
+
+    The history lines are ``{"train", "prefix"}``: the training lines and
+    the first ``PREFIX_FRACTION`` of the test window.
+    """
     from repro.datasets.scenarios import bluegene_scenario, mercury_scenario
 
     knobs = dict(SCENARIOS[workload])
@@ -97,8 +102,40 @@ def _scenarios(workload: str, seed: int):
         traffic.t_end - traffic.train_end)
     knobs.pop("train_fraction")
     knobs["duration_days"] = t_split / 86400.0
-    history = build(seed=HISTORY_SEED, train_fraction=1.0, **knobs)
-    return system, history, traffic, t_split
+
+    def history():
+        sc = build(seed=HISTORY_SEED, train_fraction=1.0, **knobs)
+        lines = {"train": [], "prefix": []}
+        for rec in sc.records:
+            part = "train" if rec.timestamp < traffic.train_end else "prefix"
+            lines[part].append(rec.format_line())
+        return lines
+
+    return system, _cached(cache_dir, f"history-{workload}", history), \
+        traffic, t_split
+
+
+def _cached(cache_dir, name, make):
+    """``make()``'s JSON-ready result, kept in ``cache_dir`` under a digest
+    of the code that makes it (this file and the program's sources), so
+    it is made once per checkout and never read stale; no caching when
+    ``cache_dir`` is None."""
+    if cache_dir is None:
+        return make()
+    digest = hashlib.sha256(Path(__file__).read_bytes())
+    src = Path(__file__).resolve().parent.parent / "src" / "repro"
+    for path in sorted(src.rglob("*.py")):
+        digest.update(path.relative_to(src).as_posix().encode("utf-8"))
+        digest.update(path.read_bytes())
+    path = Path(cache_dir) / f"{name}-{digest.hexdigest()[:16]}.json"
+    if path.is_file():
+        return json.loads(path.read_text())
+    value = make()
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    tmp.write_text(json.dumps(value))
+    os.replace(tmp, path)
+    return value
 
 
 def _fixed_storms(workload, seed, sc, t_from):
@@ -215,13 +252,15 @@ def input_fractions(train_lines, test_lines):
     return repeat / n, novel / n
 
 
-def generate(workload: str, seed: int, out_dir: Path) -> dict:
-    """Write ``train.log``, ``test.log`` and ``meta.json``; return meta."""
-    system, history, sc, t_split = _scenarios(workload, seed)
-    train, test = [], []
-    for rec in history.records:
-        (train if rec.timestamp < sc.train_end else test).append(
-            rec.format_line())
+def generate(workload: str, seed: int, out_dir: Path,
+             cache_dir=None) -> dict:
+    """Write ``train.log``, ``test.log`` and ``meta.json``; return meta.
+
+    The fixed-seed history is the same for every seed; with a
+    ``cache_dir`` it is generated once and reused (see :func:`_cached`).
+    """
+    system, history, sc, t_split = _scenarios(workload, seed, cache_dir)
+    train, test = list(history["train"]), list(history["prefix"])
     test += [r.format_line() for r in _fixed_storms(workload, seed, sc,
                                                      t_split)]
     rng = random.Random(f"{workload}:{seed}")

@@ -2,7 +2,7 @@
 
 Usage (from the repository root)::
 
-    python3 perfbench/run.py --workload stream --seed 1 --seconds 12 --trace 0
+    python3 perfbench/run.py --workload stream --seed 1 --seconds 24 --trace 0
     python3 perfbench/sweep.py --seeds 1 2 3 4 5   # spread over seeds
 
 Workloads (``BENCHMARK.json`` says why each exists; ``inputs.py`` how
@@ -11,20 +11,28 @@ their inputs are made):
 * ``stream`` -- ``read_log_batch(lenient=True)`` -> ``sanitize_batch`` ->
   ``ResumableRun(batch_size=4096).run``, the way ``predict --lenient
   --batch-size 4096`` runs, over a BG/L-like log with relay defects.
+* ``ingest`` -- one closed-loop ``IngestClient`` posting 64-record NDJSON
+  batches to a server process built from ``serve``'s parts, with a
+  dashboard read mix, then sealing every tenant (``ingest_client.py``).
 * ``fleet`` -- ``read_log_batch`` -> ``Fleet.route_batch`` in 1024-record
   writes (the default pump cadence) over 8 hashed tenants with the
   ``FleetPolicy`` defaults, then ``drain`` and ``finish``, on a
   Mercury-like log with a mid-stream template rewrite and one-off lines.
-* ``ingest`` -- one closed-loop ``IngestClient`` posting 64-record NDJSON
-  batches to a server process built from ``serve``'s parts, with a
-  dashboard read mix, then sealing every tenant (``ingest_client.py``).
+  It runs by hand but is not one of ``BENCHMARK.json``'s workloads:
+  within the time budget for all of the benchmark's runs, two
+  workloads can measure 24 s per run where three could measure 16 s,
+  and ``ingest`` drives the same fleet layers (route, queue, pump,
+  step, checkpoint) besides the HTTP ones.  What only ``fleet``
+  measures is classify's miss path in small calls.
 
 End-to-end metrics (``--trace 0``), each printed with its sample count;
-``BENCHMARK.json`` gates these five:
+``BENCHMARK.json`` gates these five.  A run makes timed passes, each a
+full replay of the input from fresh serving objects, until ``--seconds``
+have been measured; the three timed metrics come from the fastest
+quarter of those passes (:func:`fastest_passes` says why):
 
 * ``throughput_rps`` -- test records / wall time from the first line
-  handed to the route until every prediction list is final; median
-  over the timed passes.
+  handed to the route until every prediction list is final.
 * ``setup_s`` -- fit on the training lines plus building the serving
   objects (the predictor; 8 shards; a server answering its first
   request); median over the set-ups of a run.
@@ -43,7 +51,8 @@ End-to-end metrics (``--trace 0``), each printed with its sample count;
 
 The report also prints ``failed_frac``, ``refused_frac`` (``ingest``),
 ``write_p95_ms``, ``read_p90_ms`` and, where a run has at least 1,000
-writes (``ingest``), ``write_p99_ms``.  None of them is gated.  The two
+writes (``ingest``), ``write_p99_ms``, over all of the run's untraced
+passes.  None of them is gated.  The two
 fractions are 0 in a correct run, and a gated metric may not be 0.  The
 tails follow the seed more than a bound allows: on ``fleet`` the slowest
 writes are the pumps in which several shards checkpoint at once, 2 to 7
@@ -65,6 +74,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import shutil
 import signal
@@ -94,8 +104,12 @@ END_TO_END = {
     "read_p50_ms": "ms",
 }
 
-#: tail latencies the report prints but BENCHMARK.json does not gate:
-#: name -> (samples, percentile, fewest samples to print it)
+#: share of a run's untraced passes the timed metrics come from
+FASTEST_SHARE = 0.25
+
+#: tail latencies the report prints but BENCHMARK.json does not gate,
+#: over every untraced pass: name -> (samples, percentile, fewest
+#: samples to print it)
 TAILS = {
     "write_p95_ms": ("writes", 95, 1),
     "write_p99_ms": ("writes", 99, 1000),
@@ -103,22 +117,49 @@ TAILS = {
 }
 
 
+def fastest_passes(passes):
+    """The fastest quarter (rounded up) of the untraced passes.
+
+    Every pass replays the same input from the same fresh state, so the
+    program does the same work in each; what differs is how much the
+    shared host slows it.  On a 2-vCPU KVM guest, a fixed pure-Python
+    loop took 7.5-8 ms when undisturbed and up to twice that in slow
+    spells, with CPU time equal to wall time: each vCPU slowed on its
+    own for fractions of a second, and both together for seconds to
+    minutes.  Contention only adds time, so the fastest passes are the
+    ones nearest the program's own speed (the reasoning of ``timeit``'s
+    best-of-N).  Spells longer than a run still move its figures.
+    """
+    timed = sorted((p for p in passes if not p["traced"]),
+                   key=lambda p: p["wall"] / p["records"])
+    return timed[:math.ceil(len(timed) * FASTEST_SHARE)]
+
+
 def end_to_end(result):
-    """The end-to-end metrics of a worker result, with sample counts."""
+    """The end-to-end metrics of a worker result, with sample counts.
+
+    ``throughput_rps``, ``write_p50_ms`` and ``read_p50_ms`` come from
+    the run's fastest passes (:func:`fastest_passes`); ``n`` counts the
+    passes, writes and reads they span.
+    """
     percentile = common.percentile
-    timed = [p for p in result["passes"] if not p["traced"]]
-    rates = [p["records"] / p["wall"] for p in timed]
-    writes, reads = result["writes"], result["reads"]
+    best = fastest_passes(result["passes"])
+    writes = [w for p in best for w in p["writes"]]
+    reads = [r for p in best for r in p["reads"]]
     values = {
-        "throughput_rps": (statistics.median(rates), len(rates)),
+        "throughput_rps": (sum(p["records"] for p in best)
+                           / sum(p["wall"] for p in best), len(best)),
         "setup_s": (statistics.median(result["setups"]),
                     len(result["setups"])),
         "peak_rss_mb": (result["peak_rss_mb"], 1),
         "write_p50_ms": (percentile(writes, 50), len(writes)),
         "read_p50_ms": (percentile(reads, 50), len(reads)),
     }
-    return {name: {"value": value, "unit": END_TO_END[name], "n": n}
-            for name, (value, n) in values.items()}
+    out = {name: {"value": value, "unit": END_TO_END[name], "n": n}
+           for name, (value, n) in values.items()}
+    out["throughput_rps"]["of"] = sum(not p["traced"]
+                                      for p in result["passes"])
+    return out
 
 
 def report(args, meta, result, metrics):
@@ -139,14 +180,17 @@ def report(args, meta, result, metrics):
     for name, (part, whole) in fracs.items():
         lines.append(f"{name:<28} {part / max(1, whole):.6g} fraction "
                      f"(n={whole})")
+    timed = [p for p in result["passes"] if not p["traced"]]
     for name, (key, q, fewest) in TAILS.items():
-        samples = result[key]
+        samples = [x for p in timed for x in p[key]]
         if len(samples) >= fewest:
             lines.append(f"{name:<28} "
                          f"{common.percentile(samples, q):.6g} ms "
                          f"(n={len(samples)})")
     for name, m in metrics.items():
         n = f" (n={m['n']})" if "n" in m else ""
+        if "of" in m:
+            n = f" (n={m['n']} of {m['of']} passes)"
         lines.append(f"{name:<28} {m['value']:.6g} {m['unit']}{n}")
     for problem in result["problems"]:
         lines.append(f"FAILED      : {problem}")
@@ -197,7 +241,8 @@ def main(argv=None):
     work = WORK / f"{args.workload}-{args.seed}-{os.getpid()}"
     shutil.rmtree(work, ignore_errors=True)
     try:
-        meta = inputs.generate(args.workload, args.seed, work)
+        meta = inputs.generate(args.workload, args.seed, work,
+                               cache_dir=WORK / "cache")
         # a fixed hash seed keeps set and dict orders, and with them the
         # program's work, the same in every process
         env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED="0")

@@ -1,15 +1,20 @@
 """The ``ingest`` workload's server process, built from ``serve``'s parts.
 
-For every pass the client asks for, this process sets up a server from
-scratch: it fits the offline phase on the training lines from ``--dir``
+The process fits the offline phase on the training lines from ``--dir``
 (it never regenerates a scenario), builds the 8-tenant ``Fleet``, mounts
 ``IngestAPI`` on an ``IngestServer`` and pumps the fleet every 20 ms, as
-``serve`` does with its defaults.  Set-up is timed from the start of the
-fit until the server has answered its first request.
+``serve`` does with its defaults.  A set-up does all of that from
+scratch and is timed from the start of the fit until the server has
+answered its first request; it is then torn down, and its fitted model
+is kept.  Every pass serves a fresh fleet built from that model, as the
+``stream`` and ``fleet`` workloads build theirs.
 
 Protocol, one line each way (JSON on standard output):
 
-* ``plain`` or ``traced`` -> set up; answer ``{"port", "setup_s"}``;
+* ``setup`` or ``setup-traced`` -> set up and tear down; answer
+  ``{"setup_s"}`` (and the layer summary of a traced set-up);
+* ``plain`` or ``traced`` -> start serving a fresh fleet; answer
+  ``{"port"}``;
 * ``done`` -> stop serving; answer the pass report (peak RSS, counters,
   collector time and, for a traced pass, the layer summary and spans);
 * end of input -> exit.
@@ -52,10 +57,10 @@ def first_answer(port):
         conn.close()
 
 
-def build_server(meta, train, ckpt_dir):
+def build_server(elsa, meta, ckpt_dir):
+    """Fleet, API and server on a fleet built from ``elsa``, answering."""
     from repro.fleet.ingest import IngestAPI, IngestConfig, IngestServer
 
-    elsa = common.fit_model(meta, train)
     fleet = common.build_fleet(elsa, meta, ckpt_dir)
     api = IngestAPI(
         fleet,
@@ -68,11 +73,15 @@ def build_server(meta, train, ckpt_dir):
     )
     server = IngestServer(api, host="127.0.0.1", port=0,
                           request_timeout_seconds=REQUEST_TIMEOUT_S).start()
+    first_answer(server.port)
     return fleet, api, server
 
 
-def serve_pass(meta, train, ckpt_dir, traced, commands, gcw):
-    """Set up, serve until ``done``, tear down; returns the report."""
+def set_up(meta, train, ckpt_dir, traced):
+    """Fit and serve until the first answer (timed), then tear down.
+
+    Returns the fitted model and the reply: ``setup_s`` and, when
+    traced, the layer summary of the fit and the build."""
     from repro import obs
 
     tracer = layers.Tracer() if traced else None
@@ -80,17 +89,31 @@ def serve_pass(meta, train, ckpt_dir, traced, commands, gcw):
     if tracer is not None:
         tracer.install()
     t0 = perf_counter()
-    fleet, api, server = build_server(meta, train, ckpt_dir)
-    first_answer(server.port)
-    setup_s = perf_counter() - t0
-    setup_summary = None
+    try:
+        elsa = common.fit_model(meta, train)
+        fleet, _, server = build_server(elsa, meta, ckpt_dir)
+        reply = {"setup_s": perf_counter() - t0}
+    finally:
+        if tracer is not None:
+            tracer.uninstall()
+    server.stop()
+    fleet.close()
     if tracer is not None:
-        setup_summary = tracer.summary()
-        tracer.uninstall()
-        tracer = layers.Tracer()
+        reply["setup_summary"] = tracer.summary()
+    return elsa, reply
+
+
+def serve_pass(pristine, meta, ckpt_dir, traced, commands, gcw):
+    """Serve a fresh fleet until ``done``, tear down; returns the report."""
+    from repro import obs
+
+    obs.reset()
+    fleet, api, server = build_server(pristine, meta, ckpt_dir)
+    tracer = layers.Tracer() if traced else None
+    if tracer is not None:
         tracer.install()
     gcw.reset()
-    print(json.dumps({"port": server.port, "setup_s": setup_s}), flush=True)
+    print(json.dumps({"port": server.port}), flush=True)
     try:
         while True:
             api.pump_once()
@@ -111,7 +134,6 @@ def serve_pass(meta, train, ckpt_dir, traced, commands, gcw):
         "gc_full": gcw.full,
     }
     if tracer is not None:
-        report["setup_summary"] = setup_summary
         report["summary"] = tracer.summary()
         report["spans"] = tracer.export()
     return report
@@ -131,15 +153,21 @@ def main(argv=None):
 
     threading.Thread(target=read_commands, daemon=True).start()
     gcw = layers.GCWatch().start()
+    pristine = None
     n = 0
     while True:
         cmd = commands.get()
-        if cmd not in ("plain", "traced"):
-            return 0
-        report = serve_pass(meta, train, args.dir / f"serve-{n}",
-                            cmd == "traced", commands, gcw)
-        print(json.dumps(report), flush=True)
+        ckpt_dir = args.dir / f"serve-{n}"
         n += 1
+        if cmd in ("setup", "setup-traced"):
+            pristine, reply = set_up(meta, train, ckpt_dir,
+                                     cmd == "setup-traced")
+        elif cmd in ("plain", "traced") and pristine is not None:
+            reply = serve_pass(pristine, meta, ckpt_dir, cmd == "traced",
+                               commands, gcw)
+        else:
+            return 0
+        print(json.dumps(reply), flush=True)
 
 
 if __name__ == "__main__":

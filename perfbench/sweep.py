@@ -2,8 +2,7 @@
 
 Usage (from the repository root)::
 
-    python3 perfbench/sweep.py --workloads stream fleet ingest \\
-        --seeds 1 2 3 4 5 6 7 8 9 10 --seconds 12 --out sweep.json
+    python3 perfbench/sweep.py --seeds 1 2 3 4 5 6 7 8 9 10 --out sweep.json
 
 Runs ``run.py`` once per (workload, seed), one at a time and with
 tracing off, and prints per metric the median, the first and third
@@ -25,6 +24,7 @@ import sys
 from pathlib import Path
 
 RUN = Path(__file__).resolve().parent / "run.py"
+BENCHMARK = RUN.parent.parent / "BENCHMARK.json"
 
 
 def one_run(workload, seed, seconds):
@@ -54,11 +54,15 @@ def summarize(runs):
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    benchmark = json.loads(BENCHMARK.read_text())
     ap.add_argument("--workloads", nargs="+",
-                    default=["stream", "fleet", "ingest"])
+                    default=[w["name"] for w in benchmark["workloads"]],
+                    help="default: BENCHMARK.json's workloads")
     ap.add_argument("--seeds", nargs="+", type=int,
                     default=list(range(1, 11)))
-    ap.add_argument("--seconds", type=float, default=12.0)
+    ap.add_argument("--seconds", type=float,
+                    default=benchmark["run_seconds"],
+                    help="default: BENCHMARK.json's run_seconds")
     ap.add_argument("--out", type=Path, default=None)
     args = ap.parse_args(argv)
     doc = {"machine": {

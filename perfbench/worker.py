@@ -1,14 +1,16 @@
 """One benchmark run of one workload, in a fresh process.
 
 ``run.py`` generates the inputs and starts this script with ``src`` on
-``PYTHONPATH``; it writes ``result.json`` next to the inputs.  The order
-is the same for every workload: set up ``SETUPS`` times (the median is
-``setup_s``), one warm-up pass, then timed passes until ``--seconds``
-have been measured, then the reference check.  Every timed pass starts
-from fresh serving objects and a collected heap.  During every pass a
-dashboard polls the run's telemetry server (:class:`Dashboard`).  With
-``--trace 1`` untraced and traced passes alternate; the traced ones give
-the layer budget and the untraced ones the tracing overhead.
+``PYTHONPATH``; it writes ``result.json`` next to the inputs, with each
+pass's wall time and write and read latencies (``run.py`` reduces them
+to the metrics).  The order is the same for every workload: set up
+``SETUPS`` times (the median is ``setup_s``), one warm-up pass, then
+timed passes until ``--seconds`` have been measured, then the reference
+check.  Every timed pass starts from fresh serving objects and a
+collected heap.  During every pass a dashboard polls the run's telemetry
+server (:class:`Dashboard`).  With ``--trace 1`` untraced and traced
+passes alternate; the traced ones give the layer budget and the
+untraced ones the tracing overhead.
 """
 
 from __future__ import annotations
@@ -383,14 +385,12 @@ def run_inprocess(args, meta, train, test, work_dir):
         problems += pass_problems
         lost += pass_lost if p is not warm else 0
     problems = sorted(set(problems))
-    timed = [p for p in passes if not p.traced]
     result = {
         "setups": setups,
         "passes": [{"wall": p.wall, "records": p.records, "traced": p.traced,
-                    "gc_pause": p.gc_pause, "gc_full": p.gc_full}
+                    "gc_pause": p.gc_pause, "gc_full": p.gc_full,
+                    "writes": p.writes, "reads": p.reads}
                    for p in passes],
-        "writes": [w for p in timed for w in p.writes],
-        "reads": [r for p in timed for r in p.reads],
         "peak_rss_mb": rss,
         "problems": problems,
         "attempted": sum(p.records for p in passes),
