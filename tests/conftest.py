@@ -20,16 +20,21 @@ def rng():
     return np.random.default_rng(12345)
 
 
+#: parameters of the shared scenario (``tests/test_golden.py`` pins its
+#: predictions and regenerates its digests from the same scenario)
+SMALL_SCENARIO = dict(
+    duration_days=1.5,
+    train_fraction=0.4,
+    seed=42,
+    fault_rate_scale=1.5,
+    base_rate_per_sec=0.25,
+)
+
+
 @pytest.fixture(scope="session")
 def small_scenario():
     """A 1.5-day Blue Gene-like scenario shared by integration tests."""
-    return bluegene_scenario(
-        duration_days=1.5,
-        train_fraction=0.4,
-        seed=42,
-        fault_rate_scale=1.5,
-        base_rate_per_sec=0.25,
-    )
+    return bluegene_scenario(**SMALL_SCENARIO)
 
 
 @pytest.fixture(scope="session")

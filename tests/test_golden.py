@@ -1,0 +1,248 @@
+"""Golden prediction digests: one committed answer for every entry point.
+
+The equivalence suites prove that two routes agree with each other;
+this module pins *what* they agree on.  ``tests/golden/predictions.json``
+holds the sha256 of the canonical prediction JSON
+(``Prediction.to_dict`` per prediction, keys sorted) over the shared
+1.5-day Blue Gene/L scenario, for:
+
+* ``hybrid`` — batch ``ELSA.predict``, ``ResumableRun`` on record
+  objects and on a ``RecordBatch`` (13- and 4096-record chunks), and a
+  run killed mid-stream and continued with ``ResumableRun.resume``;
+* ``signal`` — the signal-only baseline's ``run``;
+* ``fleet`` — ``Fleet.run`` over 4 hashed tenants, on record objects
+  and on a ``RecordBatch``.
+
+The input digest is checked first, so a change in the generated
+scenario (a new numpy, say) fails with its own message instead of as
+a prediction change.  Changing a prediction on purpose means
+regenerating the file in the same change::
+
+    PYTHONPATH=src python -m tests.test_golden
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import platform
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy
+
+from repro import ELSA
+from repro.columnar import RecordBatch
+from repro.fleet import Fleet, ManualClock, hashed_tenant_key
+from repro.resilience.checkpoint import ResumableRun, load_checkpoint
+
+GOLDEN = Path(__file__).parent / "golden" / "predictions.json"
+
+TENANTS = ["t0", "t1", "t2", "t3"]
+
+
+def _sha(payload) -> str:
+    text = json.dumps(payload, sort_keys=True)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def prediction_digest(predictions) -> str:
+    """sha256 of the canonical JSON of a prediction list."""
+    return _sha([p.to_dict() for p in predictions])
+
+
+def fleet_digest(out) -> str:
+    """sha256 of the canonical JSON of a tenant -> predictions map."""
+    return _sha({t: [p.to_dict() for p in out[t]] for t in out})
+
+
+def input_digest(scenario) -> str:
+    """sha256 of every record field plus the train/test split."""
+    return _sha({
+        "train_end": scenario.train_end,
+        "t_end": scenario.t_end,
+        "records": [
+            [r.timestamp, r.location, int(r.severity), r.message,
+             r.event_type, r.fault_id]
+            for r in scenario.records
+        ],
+    })
+
+
+def environment() -> dict:
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+    }
+
+
+# -- the entry points ----------------------------------------------------------
+
+
+class Pipeline:
+    """A pipeline fitted for this module alone.
+
+    Other tests mutate the session ``fitted_elsa`` (online HELO state,
+    patched components), so the golden answer comes from a private
+    fit; every run starts from the post-fit HELO state.
+    """
+
+    def __init__(self, scenario) -> None:
+        self.sc = scenario
+        self.elsa = ELSA(scenario.machine)
+        self.elsa.fit(scenario.records, t_train_end=scenario.train_end)
+        self.helo = self.elsa.online_state_dict()
+
+    def fresh(self) -> ELSA:
+        self.elsa.restore_online_state(self.helo)
+        return self.elsa
+
+    def predict(self):
+        sc = self.sc
+        return self.fresh().predict(sc.records, sc.train_end, sc.t_end)
+
+    def resumable(self, records, batch_size=None):
+        sc = self.sc
+        run = ResumableRun(
+            self.fresh(), sc.train_end, sc.t_end, batch_size=batch_size
+        )
+        return run.run(records)
+
+    def killed_and_resumed(self, workdir: Path):
+        sc = self.sc
+        ckpt = workdir / "golden.ckpt.json"
+        run = ResumableRun(
+            self.fresh(), sc.train_end, sc.t_end,
+            checkpoint_path=ckpt, checkpoint_every=500,
+        )
+        run.process(sc.records, limit=1500)
+        del run  # the "crash"
+        run = ResumableRun.resume(self.fresh(), load_checkpoint(ckpt))
+        return run.run(sc.records)
+
+    def signal(self):
+        sc = self.sc
+        elsa = self.fresh()
+        stream = elsa.make_stream(sc.records, sc.train_end, sc.t_end)
+        return elsa.signal_predictor().run(stream)
+
+    def fleet(self, records, workdir: Path):
+        sc = self.sc
+        fleet = Fleet.build(
+            self.fresh(), TENANTS, sc.train_end, sc.t_end,
+            hashed_tenant_key(len(TENANTS)), workdir,
+            clock=ManualClock(), register=False,
+        )
+        try:
+            return fleet.run(records)
+        finally:
+            fleet.close()
+
+
+def compute(scenario, workdir: Path) -> dict:
+    """Every digest of the golden file, computed from scratch."""
+    p = Pipeline(scenario)
+    test = scenario.test_records
+    return {
+        "input_sha256": input_digest(scenario),
+        "environment": environment(),
+        "hybrid": prediction_digest(p.predict()),
+        "signal": prediction_digest(p.signal()),
+        "fleet": fleet_digest(p.fleet(test, workdir / "fleet")),
+    }
+
+
+# -- the tests -----------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.fixture(scope="module")
+def pipeline(small_scenario, golden):
+    if input_digest(small_scenario) != golden["input_sha256"]:
+        pytest.fail(_input_changed(golden))
+    return Pipeline(small_scenario)
+
+
+def _input_changed(golden) -> str:
+    return (
+        "the generated scenario changed, so the golden predictions do "
+        f"not apply: recorded with {golden['environment']}, running "
+        f"{environment()}"
+    )
+
+
+def _expect(golden, name, digest) -> None:
+    assert digest == golden[name], (
+        f"{name} predictions differ from the committed golden digest "
+        f"(recorded with {golden['environment']}, running "
+        f"{environment()}); regenerate it only for an intended change"
+    )
+
+
+class TestGoldenDigests:
+    def test_input_digest(self, small_scenario, golden):
+        assert input_digest(small_scenario) == golden["input_sha256"], (
+            _input_changed(golden)
+        )
+
+    def test_elsa_predict(self, pipeline, golden):
+        predictions = pipeline.predict()
+        assert predictions  # the scenario must actually predict
+        _expect(golden, "hybrid", prediction_digest(predictions))
+
+    def test_resumable_run_on_objects(self, pipeline, golden):
+        got = pipeline.resumable(pipeline.sc.records)
+        _expect(golden, "hybrid", prediction_digest(got))
+
+    @pytest.mark.parametrize("batch_size", [13, 4096])
+    def test_resumable_run_on_record_batch(
+        self, pipeline, golden, batch_size
+    ):
+        batch = RecordBatch.from_records(pipeline.sc.records)
+        got = pipeline.resumable(batch, batch_size=batch_size)
+        _expect(golden, "hybrid", prediction_digest(got))
+
+    def test_killed_and_resumed(self, pipeline, golden, tmp_path):
+        got = pipeline.killed_and_resumed(tmp_path)
+        _expect(golden, "hybrid", prediction_digest(got))
+
+    def test_signal_only_baseline(self, pipeline, golden):
+        predictions = pipeline.signal()
+        assert predictions
+        _expect(golden, "signal", prediction_digest(predictions))
+
+    def test_fleet_on_objects(self, pipeline, golden, tmp_path):
+        out = pipeline.fleet(pipeline.sc.test_records, tmp_path)
+        assert sorted(out) == TENANTS
+        _expect(golden, "fleet", fleet_digest(out))
+
+    def test_fleet_on_record_batch(self, pipeline, golden, tmp_path):
+        batch = RecordBatch.from_records(pipeline.sc.test_records)
+        out = pipeline.fleet(batch, tmp_path)
+        _expect(golden, "fleet", fleet_digest(out))
+
+
+def main() -> int:
+    """Rewrite ``tests/golden/predictions.json`` from the current code."""
+    from repro.datasets import bluegene_scenario
+    from tests.conftest import SMALL_SCENARIO
+
+    scenario = bluegene_scenario(**SMALL_SCENARIO)
+    with tempfile.TemporaryDirectory() as tmp:
+        data = compute(scenario, Path(tmp))
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
