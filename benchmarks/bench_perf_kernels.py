@@ -17,6 +17,7 @@ from repro.signals.bank import VectorizedDetectorBank
 from repro.signals.crosscorr import correlate_outlier_trains
 from repro.signals.extraction import extract_signals
 from repro.signals.outliers import OnlineOutlierDetector
+from tests.reference.matching import observe_linear
 
 
 def test_perf_online_classification(bg, elsa_bg, benchmark):
@@ -34,7 +35,7 @@ def test_perf_online_classification(bg, elsa_bg, benchmark):
 
 
 def test_perf_template_match_linear(bg, elsa_bg, benchmark):
-    """Same matcher with the shape index off — the legacy linear scan.
+    """Same classification through the linear-scan oracle.
 
     Tracked alongside :func:`test_perf_online_classification` so the
     index's speedup (and any regression of it) is visible in the
@@ -44,12 +45,8 @@ def test_perf_template_match_linear(bg, elsa_bg, benchmark):
     table = elsa_bg._online_helo.table
 
     def classify():
-        table.use_index = False
-        try:
-            helo = OnlineHELO(table=table)
-            return helo.observe_many(messages)
-        finally:
-            table.use_index = True
+        helo = OnlineHELO(table=table)
+        return [observe_linear(helo, m) for m in messages]
 
     ids = benchmark.pedantic(classify, rounds=2, iterations=1)
     hit_rate = sum(1 for i in ids if i is not None) / len(ids)
@@ -107,7 +104,6 @@ def test_perf_columnar_feed_binning(bg, elsa_bg, benchmark):
     ids = elsa_bg._classify(records, online=True)
 
     def run():
-        elsa_bg.set_fast_path(True)
         pred = elsa_bg.streaming_predictor(
             t_start=bg.train_end, t_end=bg.t_end
         )
@@ -163,14 +159,14 @@ def test_perf_detector_bank_tick_many(benchmark):
             [OnlineOutlierDetector(threshold=8.0, window=4000)
              for _ in range(8)]
         )
-        return bank.process_matrix(x)
+        return bank.tick_many(x)
 
-    result = benchmark.pedantic(scan, rounds=2, iterations=1)
-    assert result.flags.shape == x.shape
+    flags, _corrected = benchmark.pedantic(scan, rounds=2, iterations=1)
+    assert flags.shape == x.shape
 
 
 def test_perf_streaming_end_to_end(bg, elsa_bg, benchmark):
-    """Records/second through classify + feed + finish (the fast path).
+    """Records/second through classify + feed + finish (the engine).
 
     The headline number: the whole online pipeline consuming the test
     window in checkpoint-sized chunks.  ``benchmarks/perf_smoke.py``
@@ -180,7 +176,6 @@ def test_perf_streaming_end_to_end(bg, elsa_bg, benchmark):
     ids = elsa_bg._classify(records, online=True)
 
     def run():
-        elsa_bg.set_fast_path(True)
         pred = elsa_bg.streaming_predictor(
             t_start=bg.train_end, t_end=bg.t_end
         )

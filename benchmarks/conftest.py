@@ -14,6 +14,7 @@ reproduced numbers survive pytest's stdout capture.
 from __future__ import annotations
 
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,12 @@ from repro import ELSA, evaluate_predictions, obs
 from repro.datasets import bluegene_scenario, mercury_scenario
 
 REPORT_DIR = Path(__file__).parent / "reports"
+
+#: the perf benches' legacy sides run the scalar oracles in
+#: tests/reference/
+_REPO_ROOT = str(Path(__file__).resolve().parent.parent)
+if _REPO_ROOT not in sys.path:
+    sys.path.insert(0, _REPO_ROOT)
 
 #: benchmark scenario shape — big enough for stable Table III statistics
 BENCH_DAYS = 7.0

@@ -1,10 +1,12 @@
 """End-to-end streaming throughput smoke test with a regression gate.
 
 Measures the full online path — classify, feed, finish — over the
-scaled BlueGene scenario, on both the fast (vectorized) and legacy
-(scalar) paths, verifies the two emit byte-identical predictions, and
-writes ``BENCH_streaming.json`` with records/sec and per-record latency
-percentiles.
+scaled BlueGene scenario, on both the fast side (the product: indexed
+matcher, detector bank, batched feed) and the legacy side (the scalar
+oracles in ``tests/reference/``: linear template scan, record-at-a-time
+feed, per-anchor scalar detectors), verifies the two emit
+byte-identical predictions, and writes ``BENCH_streaming.json`` with
+records/sec and per-record latency percentiles.
 
 The CI gate (``--check``) compares the *fast-vs-legacy speedup ratio*
 against the committed baseline rather than absolute records/sec, so the
@@ -22,12 +24,18 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
+
+#: the legacy side runs the scalar oracles in tests/reference/
+REPO_ROOT = Path(__file__).resolve().parent.parent
+if str(REPO_ROOT) not in sys.path:
+    sys.path.insert(0, str(REPO_ROOT))
 
 #: committed reference numbers (versioned with the code)
 BASELINE_PATH = Path(__file__).parent / "BENCH_streaming.json"
@@ -112,36 +120,50 @@ def _weighted_percentile(values, weights, q):
 def _run_once(sc, elsa, test, fast, spans=False):
     """One classify+feed+finish pass; per-chunk feed latencies in µs.
 
-    ``spans=True`` wraps the stages in the same transient spans the
-    streaming engine uses, so the sampling profiler has stacks to
-    attribute (the overhead measurement runs both sides with spans on,
-    isolating the profiler thread's own cost).
+    ``fast=False`` runs the scalar oracles instead of the product: a
+    linear-scan classify, the record-at-a-time feed loop and per-anchor
+    scalar detectors.  ``spans=True`` wraps the stages in the same
+    transient spans the streaming engine uses, so the sampling profiler
+    has stacks to attribute (the overhead measurement runs both sides
+    with spans on, isolating the profiler thread's own cost).
     """
     from repro import obs
     from repro.helo.online import OnlineHELO
+    from tests.reference.engines import feed_scalar, scalar_engine
+    from tests.reference.matching import classify_linear
 
-    elsa.set_fast_path(fast)
     helo_state = elsa._online_helo.state_dict()
-    pred = elsa.streaming_predictor(t_start=sc.train_end, t_end=sc.t_end)
+    if fast:
+        pred = elsa.streaming_predictor(t_start=sc.train_end, t_end=sc.t_end)
+        feed = pred.feed
+    else:
+        pred = scalar_engine(elsa, sc.train_end, sc.t_end)
+        feed = functools.partial(feed_scalar, pred)
+
+    def classify():
+        if fast:
+            return elsa._classify(test, online=True)
+        return classify_linear(elsa, test)
+
     chunk_us = []
     t0 = time.perf_counter()
     if spans:
         with obs.span("classify", transient=True):
-            ids = elsa._classify(test, online=True)
+            ids = classify()
         for a in range(0, len(test), CHUNK):
             c0 = time.perf_counter()
             with obs.span("feed", transient=True):
-                pred.feed(test[a:a + CHUNK], ids[a:a + CHUNK])
+                feed(test[a:a + CHUNK], ids[a:a + CHUNK])
             chunk_us.append(
                 (time.perf_counter() - c0) * 1e6 / len(test[a:a + CHUNK])
             )
         with obs.span("finish", transient=True):
             predictions = pred.finish()
     else:
-        ids = elsa._classify(test, online=True)
+        ids = classify()
         for a in range(0, len(test), CHUNK):
             c0 = time.perf_counter()
-            pred.feed(test[a:a + CHUNK], ids[a:a + CHUNK])
+            feed(test[a:a + CHUNK], ids[a:a + CHUNK])
             chunk_us.append(
                 (time.perf_counter() - c0) * 1e6 / len(test[a:a + CHUNK])
             )
@@ -199,13 +221,12 @@ def _e2e_once(sc, elsa, lines, columnar):
 
     ``columnar=True`` runs the RecordBatch pipeline (batch tokenizer,
     columnar classify, batched feed); ``columnar=False`` runs the same
-    fast-path engine over record objects parsed one line at a time —
-    the pre-columnar shape of the hot path, and the denominator of the
+    engine over record objects parsed one line at a time — the
+    pre-columnar shape of the hot path, and the denominator of the
     end-to-end speedup gate.
     """
     from repro.helo.online import OnlineHELO
 
-    elsa.set_fast_path(True)
     helo_state = elsa._online_helo.state_dict()
     pred = elsa.streaming_predictor(t_start=sc.train_end, t_end=sc.t_end)
     t0 = time.perf_counter()

@@ -281,14 +281,16 @@ def _stop_telemetry(server, args: argparse.Namespace) -> None:
 def cmd_predict(args: argparse.Namespace) -> int:
     """``predict``: online phase over a window of a log file.
 
-    With ``--checkpoint``/``--checkpoint-every`` the resumable streaming
-    engine runs instead of the batch engine (same output, see
-    :mod:`repro.resilience.checkpoint`); ``--resume-from`` continues a
-    killed run from its checkpoint file.  ``--listen`` serves the
-    /metrics, /health and /state telemetry endpoints for the duration
-    of the run (plus ``--linger`` seconds); ``--truth`` scores emitted
-    predictions in-stream on the online scoreboard; ``--provenance-out``
-    dumps each prediction's audit record as JSON lines.
+    With ``--checkpoint``/``--checkpoint-every`` (or ``--batch-size``)
+    the window is fed chunk by chunk through a checkpointable
+    ``ResumableRun`` instead of one whole-window ``run`` (same engine,
+    same output, see :mod:`repro.resilience.checkpoint`);
+    ``--resume-from`` continues a killed run from its checkpoint file.
+    ``--listen`` serves the /metrics, /health and /state telemetry
+    endpoints for the duration of the run (plus ``--linger`` seconds);
+    ``--truth`` scores emitted predictions in-stream on the online
+    scoreboard; ``--provenance-out`` dumps each prediction's audit
+    record as JSON lines.
 
     ``--self-heal`` (implied by ``--model-store``) runs the lifecycle
     loop instead: drift or recall degradation triggers a shadow retrain,
@@ -300,7 +302,6 @@ def cmd_predict(args: argparse.Namespace) -> int:
     """
     with Path(args.model).open("rb") as fh:
         elsa: ELSA = pickle.load(fh)
-    elsa.set_fast_path(getattr(args, "fast_path", True))
     lenient = _apply_resilience(elsa, args)
     try:
         records = _read_records(args.log, args.format, lenient=lenient)
@@ -1439,13 +1440,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="records per feed chunk on the streaming engine (selects "
              "it when no checkpointing flag does; decouples feed "
              "granularity from --checkpoint-every)",
-    )
-    p.add_argument(
-        "--fast-path", dest="fast_path",
-        action=argparse.BooleanOptionalAction, default=True,
-        help="vectorized streaming fast path (indexed template matcher "
-             "+ detector bank); --no-fast-path forces the scalar "
-             "reference loops, predictions are identical either way",
     )
     p.add_argument(
         "--listen", metavar="HOST:PORT", default=None,

@@ -120,9 +120,7 @@ class OnlineHELO:
 
         Results (ids *and* table mutations) are identical to
         ``observe_many(messages)`` for the messages the token lists came
-        from; ``tests/test_columnar.py`` holds the property.  Only valid
-        while ``table.use_index`` is True (callers route
-        ``--no-fast-path`` through the object path).
+        from; ``tests/test_columnar.py`` holds the property.
         """
         n = len(token_lists)
         ids = np.empty(n, dtype=np.int64)

@@ -100,14 +100,14 @@ class TemplateTable:
     Candidates from both structures are verified with
     :meth:`MinedTemplate.matches_tokens` and the *lowest* matching id
     wins.  Ids are dense and assigned in insertion order, so bucket
-    order equals ascending-id order and min-id reproduces the linear
-    scan's first-match semantics bit for bit
-    (:meth:`classify_tokens_linear` keeps the reference scan; property
-    tests assert equivalence).  A bounded memo on normalized token
-    shapes short-circuits repeats entirely — shape cardinality is tiny
-    next to message cardinality because normalization collapses the
-    variable fields.  The index rebuilds lazily after :meth:`add` /
-    :meth:`replace`, amortizing online minting storms.
+    order equals ascending-id order and min-id reproduces a linear
+    scan's first-match semantics bit for bit (the property tests hold
+    the index to the reference scan in ``tests/reference/``).  A
+    bounded memo on normalized token shapes short-circuits repeats
+    entirely — shape cardinality is tiny next to message cardinality
+    because normalization collapses the variable fields.  The index
+    rebuilds lazily after :meth:`add` / :meth:`replace`, amortizing
+    online minting storms.
     """
 
     #: memo bound; normalized-shape cardinality is typically a few
@@ -117,9 +117,6 @@ class TemplateTable:
     def __init__(self, templates: Iterable[MinedTemplate] = ()) -> None:
         self._templates: List[MinedTemplate] = []
         self._buckets: Dict[int, List[int]] = {}
-        #: escape hatch: ``False`` routes every lookup through the
-        #: reference linear scan (``--no-fast-path``).
-        self.use_index = True
         self._index_dirty = True
         self._exact: Dict[Tuple[str, ...], int] = {}
         # bucket length -> (disc position or None, constant-token -> tids,
@@ -168,7 +165,7 @@ class TemplateTable:
         self._invalidate_index()
         return stored
 
-    # -- fast-path index -----------------------------------------------------
+    # -- index ---------------------------------------------------------------
 
     def _invalidate_index(self) -> None:
         self._index_dirty = True
@@ -278,17 +275,8 @@ class TemplateTable:
         self._dispatch_cache = (self.generation, dispatch)
         return dispatch
 
-    def classify_tokens_linear(self, tokens: Sequence[str]) -> Optional[int]:
-        """Reference linear bucket scan (first match in id order)."""
-        for tid in self._buckets.get(len(tokens), ()):
-            if self._templates[tid].matches_tokens(tokens):
-                return tid
-        return None
-
     def classify_tokens(self, tokens: Sequence[str]) -> Optional[int]:
         """Template id matching the tokens, or ``None``."""
-        if not self.use_index:
-            return self.classify_tokens_linear(tokens)
         key = tuple(tokens)
         memo = self._memo
         if key in memo:

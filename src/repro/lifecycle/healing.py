@@ -496,7 +496,7 @@ class SelfHealingRun(ResumableRun):
     def _validate(
         self, model, holdout, t_start: float, t_end: float, faults
     ) -> dict:
-        """Replay the holdout through a fresh batch engine; score it.
+        """Replay the holdout through a fresh predictor's ``run``; score it.
 
         Classification uses a *copy* of the online HELO state so the
         replay cannot mutate the live classifier; ids are filtered to

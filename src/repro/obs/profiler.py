@@ -23,7 +23,7 @@ sample, split evenly across threads with a non-empty stack):
 Overhead is bounded by construction: the sampler does O(threads ×
 stack depth) string work per tick, ~100 ticks/s at the default
 interval.  ``benchmarks/perf_smoke.py`` gates the measured cost at 5%
-of fast-path throughput in CI.
+of streaming throughput in CI.
 """
 
 from __future__ import annotations

@@ -1,6 +1,9 @@
 """The hybrid online predictor (sections III and VI).
 
-The online phase consumes the classified event stream sample by sample:
+The online phase consumes the classified event stream sample by sample
+(the per-sample engine is
+:class:`~repro.prediction.streaming.StreamingHybridPredictor`;
+:meth:`HybridPredictor.run` feeds it a whole window):
 
 1. per-signal **outlier detection** with the causal moving-median filter,
    using the thresholds derived offline;
@@ -35,8 +38,6 @@ from repro.obs.provenance import FlightRecorder, PredictionProvenance
 from repro.location.propagation import LocationIndex, LocationPredictor
 from repro.mining.correlations import CorrelationChain
 from repro.mining.grite import GriteConfig
-from repro.mining.prefix import ChainPrefixIndex
-from repro.lifecycle.ladder import Rung
 from repro.prediction.analysis_time import AnalysisTimeModel
 from repro.resilience.breaker import ComponentBreakers
 from repro.signals.characterize import NormalBehavior
@@ -44,6 +45,10 @@ from repro.signals.extraction import SignalSet, extract_signals
 from repro.signals.outliers import OnlineOutlierDetector, OnlinePeriodicDetector
 from repro.simulation.templates import SignalClass
 from repro.simulation.trace import LogRecord
+
+#: records per ``feed`` call when :meth:`HybridPredictor.run` drives the
+#: stream engine over a whole window
+RUN_CHUNK = 4096
 
 
 @dataclass
@@ -221,10 +226,6 @@ class PredictorConfig:
     #: paper's hybrid keeps "only the most frequent subset", which is why
     #: its online correlation set is small (62) and its precision high.
     min_chain_confidence: float = 0.5
-    #: route outlier detection through the vectorized detector bank and
-    #: the streaming predictor through the batched feed (bit-identical
-    #: to the scalar path; ``--no-fast-path`` is the escape hatch).
-    fast_path: bool = True
 
 
 class HybridPredictor:
@@ -277,13 +278,12 @@ class HybridPredictor:
         )
         self.grite_config = grite_config or GriteConfig()
         self.breakers = breakers or ComponentBreakers()
-        #: columnar chain-prefix view (anchor dispatch + per-chain arrays)
-        self.prefix = ChainPrefixIndex(self.chains, self.span_quantiles)
         #: chain_key -> number of predictions it produced in the last run
         self.chain_usage: Counter = Counter()
         #: predictions dropped because analysis consumed their window
         self.n_too_late: int = 0
-        #: anchors whose detection degraded in the last run (error boundary)
+        #: anchors whose detection degraded in the last run (error
+        #: boundary), each once, in first-degraded order
         self.degraded_anchors: List[int] = []
         #: audit records of the last emitted predictions (ring buffer)
         self.flight_recorder = FlightRecorder()
@@ -319,7 +319,7 @@ class HybridPredictor:
 
         Mirrors :meth:`_make_detector`'s construction exactly, so the
         audit record states the parameters the detector actually ran
-        with — identical between the batch and streaming engines.
+        with.
         """
         nb = self.behaviors.get(tid)
         if (
@@ -405,78 +405,6 @@ class HybridPredictor:
             warmup=self.config.detector_warmup,
         )
 
-    def _detect_anchor_outliers(
-        self, stream: TestStream
-    ) -> Dict[int, np.ndarray]:
-        """Online outlier samples for every anchor event type.
-
-        Each anchor's scan runs inside the "signals" error boundary: a
-        detector blowing up on one pathological signal costs that
-        anchor's triggers, not the run.
-        """
-        anchors = sorted({c.anchor for c in self.chains})
-        out: Dict[int, np.ndarray] = {}
-        detectors = {tid: self._make_detector(tid) for tid in anchors}
-        if anchors and getattr(self.config, "fast_path", True):
-            from repro.signals.bank import BankLayoutError, VectorizedDetectorBank
-
-            try:
-                bank = VectorizedDetectorBank(
-                    [detectors[t] for t in anchors]
-                )
-            except BankLayoutError:
-                # foreign detector classes / desynchronized state: the
-                # scalar loop below handles anything
-                bank = None
-            if bank is not None:
-                x = np.vstack(
-                    [stream.signals.signal(t) for t in anchors]
-                )
-                result = self.breakers.guarded(
-                    "signals", lambda: bank.process_matrix(x)
-                )
-                if result is not None:
-                    for i, tid in enumerate(anchors):
-                        out[tid] = np.flatnonzero(result.flags[i])
-                    return out
-                # the vector attempt failed (and fed the breaker); retry
-                # per anchor with fresh detectors so one pathological
-                # signal degrades one anchor, not the tick
-                detectors = {t: self._make_detector(t) for t in anchors}
-        for tid in anchors:
-            detector = detectors[tid]
-            result = self.breakers.guarded(
-                "signals",
-                lambda: detector.process_array(stream.signals.signal(tid)),
-            )
-            if result is None:
-                self.degraded_anchors.append(tid)
-                if self.ladder is not None:
-                    self.ladder.update(self.breakers.tripped())
-                    if self.ladder.rung == Rung.RATE_BASELINE:
-                        out[tid] = self._rate_baseline_outliers(
-                            tid, stream.signals.signal(tid)
-                        )
-                continue
-            out[tid] = result.indices
-        if self.degraded_anchors:
-            obs.counter("predictor.anchors_degraded").inc(
-                len(self.degraded_anchors)
-            )
-        return out
-
-    def _rate_baseline_outliers(
-        self, tid: int, signal: np.ndarray
-    ) -> np.ndarray:
-        """The bottom rung's crude per-type rate threshold, vectorized."""
-        nb = self.behaviors.get(tid)
-        mean_rate = nb.mean_rate if nb is not None else None
-        flagged = [
-            s for s, value in enumerate(signal)
-            if self.ladder.rate_baseline_outlier(float(value), mean_rate)
-        ]
-        return np.array(flagged, dtype=np.int64)
-
     def _attach_locations(
         self, chain: CorrelationChain, anchor_loc: str
     ) -> Tuple[str, ...]:
@@ -498,142 +426,48 @@ class HybridPredictor:
     # -- main ------------------------------------------------------------------
 
     def run(self, stream: TestStream) -> List[Prediction]:
-        """Run the online phase over a test stream; returns predictions."""
+        """Run the online phase over a test stream; returns predictions.
+
+        Builds the online engine
+        (:class:`~repro.prediction.streaming.StreamingHybridPredictor`)
+        from this predictor's own state (breakers, ladder, flight
+        recorder, location model, instance overrides), feeds it the
+        window's records stable-sorted by sample index, and finishes it.
+        ``chain_usage``, ``n_too_late`` and ``degraded_anchors`` come
+        back onto this predictor.
+        """
+        from repro.prediction.streaming import StreamingHybridPredictor
+
         with obs.span(
             "predict", source=self.source_name, chains=len(self.chains)
         ) as sp:
+            engine = StreamingHybridPredictor.from_predictor(
+                self, stream.t_start, stream.t_end, stream.sampling_period
+            )
+            t0, t1 = engine.t_start, engine.t_end
+            ts = np.fromiter(
+                (r.timestamp for r in stream.records),
+                dtype=np.float64,
+                count=len(stream.records),
+            )
+            # the engine's own binning expression, so the order it
+            # checks is the order it gets
+            s = ((ts - t0) / engine.sampling_period).astype(np.int64)
+            window = np.flatnonzero((ts >= t0) & (ts < t1))
+            order = window[np.argsort(s[window], kind="stable")].tolist()
+            records = [stream.records[i] for i in order]
+            ids = [stream.event_ids[i] for i in order]
+            for a in range(0, len(records), RUN_CHUNK):
+                engine.feed(records[a:a + RUN_CHUNK], ids[a:a + RUN_CHUNK])
+            predictions = engine.finish()
+            self.chain_usage = engine.chain_usage
+            self.n_too_late = engine.n_too_late
+            self.degraded_anchors = engine.degraded_anchors
+            sp["predictions"] = len(predictions)
+            sp["too_late"] = self.n_too_late
             if self.ladder is not None:
-                self.ladder.update(self.breakers.tripped())
-            predictions = self._run_traced(stream, sp)
-            if self.ladder is not None:
-                self.ladder.update(self.breakers.tripped())
                 sp["ladder_rung"] = int(self.ladder.rung)
         self._record_metrics(predictions, sp.t_wall)
-        return predictions
-
-    def _run_traced(self, stream: TestStream, sp: obs.Span) -> List[Prediction]:
-        cfg = self.config
-        signals = stream.signals
-        period = stream.sampling_period
-        analysis = self.analysis_model.times_for(stream.message_counts)
-        self.degraded_anchors = []
-        with obs.span("outliers", mode="online") as osp:
-            outliers = self._detect_anchor_outliers(stream)
-            osp["anchors"] = len(outliers)
-            osp["outliers"] = int(sum(len(v) for v in outliers.values()))
-        index = stream.location_index
-
-        self.chain_usage = Counter()
-        self.n_too_late = 0
-        active: Dict[Tuple, float] = {}
-        predictions: List[Prediction] = []
-        anchor_signals: Dict[int, np.ndarray] = {}
-
-        def emit(s, chain, ckey, quantiles,
-                 t_trigger, t_emit, t_pred, t_pred_lo, t_pred_hi) -> None:
-            """Stateful tail of one surviving trigger (suppression,
-            location attachment, provenance) — shared verbatim by the
-            columnar and scalar trigger paths."""
-            anchor_locs = index.locations_near(chain.anchor, s, 0)
-            anchor_loc = anchor_locs[0] if anchor_locs else "unknown"
-
-            skey = (ckey, anchor_loc)
-            until = active.get(skey)
-            if until is not None and t_trigger <= until:
-                return
-            active[skey] = (
-                (t_pred_hi if t_pred_hi is not None else t_pred)
-                + cfg.suppression_slack
-            )
-
-            locations = self._attach_locations(chain, anchor_loc)
-            pred = Prediction(
-                trigger_time=t_trigger,
-                emitted_at=t_emit,
-                predicted_time=t_pred,
-                locations=locations,
-                chain_key=ckey,
-                anchor_event=chain.anchor,
-                fatal_event=chain.items[-1].event_type,
-                source=self.source_name,
-                predicted_lo=t_pred_lo,
-                predicted_hi=t_pred_hi,
-            )
-            predictions.append(pred)
-            self.chain_usage[pred.chain_key] += 1
-            if chain.anchor not in anchor_signals:
-                anchor_signals[chain.anchor] = signals.signal(chain.anchor)
-            self._record_provenance(
-                pred, chain, s,
-                anchor_value=float(anchor_signals[chain.anchor][s]),
-                quantiles=quantiles, anchor_loc=anchor_loc,
-            )
-
-        if getattr(cfg, "fast_path", True):
-            # columnar trigger matching: anchor dispatch, trigger
-            # expansion, and all feed-forward timing (predicted times,
-            # intervals, the too-late cut) happen as array ops; only
-            # the surviving few enter the sequential suppression tail
-            samples, chain_ids = self.prefix.expand_triggers(outliers)
-            sp["triggers"] = len(samples)
-            cols = self.prefix.price_triggers(
-                samples, chain_ids, signals.t_start, analysis, period,
-                cfg.min_visible_window,
-            )
-            late = cols["too_late"]
-            self.n_too_late = int(late.sum())
-            hq = cols["has_quantiles"]
-            for i in np.flatnonzero(~late).tolist():
-                s = int(samples[i])
-                ci = int(chain_ids[i])
-                ckey = self.prefix.keys[ci]
-                emit(
-                    s, self.chains[ci], ckey,
-                    self.span_quantiles.get(ckey),
-                    float(cols["t_trigger"][i]),
-                    float(cols["t_emit"][i]),
-                    float(cols["t_pred"][i]),
-                    float(cols["t_pred_lo"][i]) if hq[i] else None,
-                    float(cols["t_pred_hi"][i]) if hq[i] else None,
-                )
-        else:
-            # scalar reference: process triggers in time order across
-            # all chains, pricing each one at a time
-            triggers: List[Tuple[int, CorrelationChain]] = []
-            for chain in self.chains:
-                for s in outliers.get(chain.anchor, ()):  # sample indices
-                    triggers.append((int(s), chain))
-            triggers.sort(key=lambda t: t[0])
-            sp["triggers"] = len(triggers)
-
-            for s, chain in triggers:
-                t_trigger = signals.sample_time(s) + period  # sample closes
-                t_emit = t_trigger + float(analysis[s])
-                t_anchor = signals.sample_time(s)
-                ckey = self._chain_key(chain)
-                quantiles = self.span_quantiles.get(ckey)
-                if quantiles is not None:
-                    q_lo, q_med, q_hi = quantiles
-                    t_pred = t_anchor + q_med * period + period
-                    t_pred_lo = t_anchor + q_lo * period + period
-                    t_pred_hi = t_anchor + q_hi * period + period
-                else:
-                    t_pred = t_anchor + chain.span * period + period
-                    t_pred_lo = t_pred_hi = None
-                if (
-                    t_pred - t_emit < cfg.min_visible_window
-                    or t_pred <= t_emit
-                ):
-                    self.n_too_late += 1
-                    continue
-                emit(
-                    s, chain, ckey, quantiles,
-                    t_trigger, t_emit, t_pred, t_pred_lo, t_pred_hi,
-                )
-
-        predictions.sort(key=lambda p: p.emitted_at)
-        sp["predictions"] = len(predictions)
-        sp["too_late"] = self.n_too_late
         return predictions
 
     def _record_metrics(
@@ -644,11 +478,9 @@ class HybridPredictor:
         The analysis-time histogram holds the *modeled* per-prediction
         cost (section VI.A's linear model); ``run_wall_seconds`` and the
         ratio gauge hold the *observed* cost of this implementation, so
-        the dump cross-checks the model against reality.
+        the dump cross-checks the model against reality.  Run and
+        prediction counts come from the stream engine's ``finish``.
         """
-        obs.counter("predictor.runs").inc()
-        obs.counter("predictor.predictions_issued").inc(len(predictions))
-        obs.counter("predictor.predictions_too_late").inc(self.n_too_late)
         obs.histogram(
             "predictor.analysis_time_seconds", buckets=TIME_BUCKETS
         ).observe_many([p.analysis_time for p in predictions])

@@ -1,15 +1,15 @@
-"""Record-at-a-time hybrid predictor with checkpointable state.
+"""The online engine: per-sample hybrid prediction with checkpointable state.
 
-:class:`~repro.prediction.engine.HybridPredictor` is a batch engine: it
-wants the whole test window up front, extracts signals, and scans them.
-A production deployment instead consumes an endless stream and must
-survive being killed mid-run.  :class:`StreamingHybridPredictor` is the
-same algorithm refactored around per-sample state:
+Every prediction comes from :class:`StreamingHybridPredictor`: batch
+``HybridPredictor.run`` feeds it a whole window, ``ResumableRun``, the
+fleet and ``serve`` feed it chunk by chunk.  The engine keeps per-sample
+state:
 
-* per-anchor online detectors are fed one sample at a time (they are
-  causal already — ``process_array`` is just a loop over ``process``);
+* per-anchor online detectors step once per closed sample — all of them
+  in one :class:`~repro.signals.bank.VectorizedDetectorBank` call, or
+  one scalar detector per anchor when the bank cannot hold them;
 * chain triggering, suppression, and location attachment run per closed
-  sample with the identical arithmetic and iteration order;
+  sample;
 * everything mutable (detector windows, active-chain suppression map,
   partial sample accumulators, emitted predictions) serializes to a
   JSON-ready dict via :meth:`state_dict` and restores via
@@ -18,7 +18,8 @@ same algorithm refactored around per-sample state:
 The invariant the crash-recovery tests enforce: feeding the same
 records through ``feed``/``finish`` — in any chunking, with any number
 of ``state_dict``/``load_state`` round-trips in between — yields
-predictions byte-identical to the batch engine over the same window.
+byte-identical predictions, equal to the reference engines in
+``tests/reference/`` and to the committed golden digests.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ import numpy as np
 from repro import obs
 from repro.columnar import RecordBatch
 from repro.lifecycle.ladder import Rung
-from repro.mining.prefix import ChainPrefixIndex
 from repro.prediction.analysis_time import AnalysisTimeModel
 from repro.prediction.engine import HybridPredictor, Prediction
 from repro.signals.bank import BankLayoutError, VectorizedDetectorBank
@@ -57,7 +57,7 @@ STATE_VERSION = 1
 
 
 class StreamingHybridPredictor(HybridPredictor):
-    """Resumable, sample-at-a-time variant of the hybrid engine.
+    """The online hybrid engine: resumable, one closed sample at a time.
 
     Construct with the same model artifacts as ``HybridPredictor`` plus
     the stream geometry (``t_start``/``t_end``/``sampling_period``); then
@@ -75,6 +75,32 @@ class StreamingHybridPredictor(HybridPredictor):
         **kwargs,
     ) -> None:
         super().__init__(*args, **kwargs)
+        self._init_stream(t_start, t_end, sampling_period)
+
+    @classmethod
+    def from_predictor(
+        cls,
+        predictor: HybridPredictor,
+        t_start: float,
+        t_end: float,
+        sampling_period: float = 10.0,
+    ) -> "StreamingHybridPredictor":
+        """A fresh stream engine over ``predictor``'s own instance state.
+
+        Shares the model artifacts, breakers, ladder, flight recorder
+        and location model, and keeps instance overrides (a patched
+        ``_make_detector``, say); all stream state starts empty.
+        """
+        engine = cls.__new__(cls)
+        engine.__dict__.update(predictor.__dict__)
+        # a class attribute on the baselines, so not in __dict__
+        engine.source_name = predictor.source_name
+        engine._init_stream(t_start, t_end, sampling_period)
+        return engine
+
+    def _init_stream(
+        self, t_start: float, t_end: float, sampling_period: float
+    ) -> None:
         if t_end <= t_start:
             raise ValueError("empty stream window")
         self.t_start = float(t_start)
@@ -102,13 +128,14 @@ class StreamingHybridPredictor(HybridPredictor):
         self._predictions: List[Prediction] = []
         self.chain_usage = Counter()
         self.n_too_late = 0
+        self.degraded_anchors = []
         #: optional live self-evaluation / drift watchers (see
-        #: :mod:`repro.prediction.scoreboard`); both default off so the
-        #: byte-identical-to-batch invariant is unconditional.
+        #: :mod:`repro.prediction.scoreboard`); both are advisory and
+        #: never change a prediction.
         self.scoreboard = None
         self.drift_detector = None
 
-    # -- fast path -----------------------------------------------------------
+    # -- detectors and chains ------------------------------------------------
 
     def _rebuild_bank(self) -> None:
         """(Re)absorb the scalar detectors into a vectorized bank.
@@ -117,14 +144,11 @@ class StreamingHybridPredictor(HybridPredictor):
         (construction, ``load_state``, ``swap_model``).  When the bank is
         active it owns detection state and the scalar dict is only a
         construction artifact; :meth:`state_dict` reads the bank.  Any
-        layout the bank cannot express keeps the scalar path.
+        layout the bank cannot express (:class:`BankLayoutError`) keeps
+        one scalar detector per anchor, each in its own error boundary.
         """
         self._bank = None
-        if (
-            not getattr(self.config, "fast_path", True)
-            or not self._anchors
-            or set(self._detectors) != set(self._anchors)
-        ):
+        if not self._anchors or set(self._detectors) != set(self._anchors):
             return
         try:
             self._bank = VectorizedDetectorBank(
@@ -136,15 +160,31 @@ class StreamingHybridPredictor(HybridPredictor):
     def _rebuild_chain_index(self) -> None:
         """Chain positions grouped by anchor, in ``self.chains`` order.
 
-        Rebuilds the shared :class:`ChainPrefixIndex` (the batch engine
-        inherits one from construction; ``swap_model`` re-arms chains so
-        the streaming engine refreshes it).  :meth:`_trigger_chains`
-        walks only the chains whose anchor flagged, merging groups back
-        into original-index order so the suppression/emission sequence
-        is identical to the full scan.
+        :meth:`_trigger_chains` walks only the chains whose anchor
+        flagged, merging groups back into original-index order so the
+        suppression/emission sequence is identical to the full scan.
         """
-        self.prefix = ChainPrefixIndex(self.chains, self.span_quantiles)
-        self._chains_by_anchor = self.prefix.by_anchor
+        self._chains_by_anchor: Dict[int, List[int]] = {}
+        for i, chain in enumerate(self.chains):
+            self._chains_by_anchor.setdefault(chain.anchor, []).append(i)
+
+    def _skip_anchor(self, tid: int, value: float) -> bool:
+        """One anchor's detector was unavailable for one closed sample.
+
+        Records the anchor in ``degraded_anchors`` (once, in
+        first-degraded order), counts the skip in
+        ``predictor.anchors_degraded``, and returns whether the bottom
+        rung's rate baseline flags ``value`` instead.
+        """
+        if tid not in self.degraded_anchors:
+            self.degraded_anchors.append(tid)
+        obs.counter("predictor.anchors_degraded").inc()
+        if self.ladder is None or self.ladder.rung != Rung.RATE_BASELINE:
+            return False
+        nb = self.behaviors.get(tid)
+        return self.ladder.rate_baseline_outlier(
+            value, nb.mean_rate if nb is not None else None
+        )
 
     # -- feeding -------------------------------------------------------------
 
@@ -153,83 +193,32 @@ class StreamingHybridPredictor(HybridPredictor):
         records: Sequence[LogRecord],
         event_ids: Sequence[Optional[int]],
     ) -> None:
-        """Consume a chunk of classified records (timestamp order).
+        """Consume a chunk of classified records (sample order).
 
         ``event_ids`` parallels ``records`` (``None`` = unclassified),
         exactly as in :class:`~repro.prediction.engine.TestStream`.
 
         ``records`` may also be a :class:`~repro.columnar.RecordBatch`
         (with ``event_ids`` optionally an int64 array, ``-1`` =
-        unclassified): the fast path then reads the timestamp/id arrays
-        directly — no per-record object or iterator work at all — and
-        materializes location strings only for flagged samples.
+        unclassified): the timestamp/id arrays are then read directly —
+        no per-record object or iterator work at all — and location
+        strings are materialized only for flagged samples.
 
-        On the fast path chunks are validated and grouped per sampling
-        interval with numpy and accumulated in bulk; the resulting state
-        transitions (and therefore predictions and checkpoints) are
-        identical to the record-at-a-time reference loop
-        (:meth:`_feed_scalar`), which remains the escape hatch.  The one
-        visible difference: a chunk containing an out-of-window or
-        out-of-order record is rejected *before* any of it is consumed,
-        where the scalar loop consumes the valid prefix first.
+        The chunk is validated and grouped per sampling interval with
+        numpy and accumulated in bulk; a chunk containing an
+        out-of-window or out-of-order record is rejected before any of
+        it is consumed.  When the chunk completes at least one sample
+        and the detector bank is active, all of them close in one bank
+        call; otherwise each sample closes on its own
+        (:meth:`_close_sample`).
         """
         if len(records) != len(event_ids):
             raise ValueError("event_ids must parallel records")
         if self._finished:
             raise RuntimeError("stream already finished")
-        if len(records) > 1 and getattr(self.config, "fast_path", True):
-            self._feed_batched(records, event_ids)
-        else:
-            if isinstance(records, RecordBatch):
-                records = records.to_records()
-            if isinstance(event_ids, np.ndarray):
-                event_ids = [
-                    None if e < 0 else e for e in event_ids.tolist()
-                ]
-            self._feed_scalar(records, event_ids)
-
-    def _feed_scalar(
-        self,
-        records: Sequence[LogRecord],
-        event_ids: Sequence[Optional[int]],
-    ) -> None:
-        """Reference record-at-a-time feed loop."""
-        for rec, tid in zip(records, event_ids):
-            if not self.t_start <= rec.timestamp < self.t_end:
-                raise ValueError(
-                    f"record at {rec.timestamp} outside the stream window"
-                )
-            s = int((rec.timestamp - self.t_start) / self.sampling_period)
-            if s < self._k:
-                raise ValueError("records must arrive in sample order")
-            while self._k < s:
-                self._close_sample()
-            self._cur_msg_count += 1
-            if tid is not None and tid in self._detectors:
-                self._cur_anchor_counts[tid] = (
-                    self._cur_anchor_counts.get(tid, 0) + 1
-                )
-                self._cur_anchor_locs.setdefault(tid, []).append(rec.location)
-            if self.drift_detector is not None and tid is not None:
-                self._cur_type_counts[tid] = (
-                    self._cur_type_counts.get(tid, 0) + 1
-                )
-            self._n_fed += 1
-
-    def _feed_batched(
-        self,
-        records: Sequence[LogRecord],
-        event_ids: Sequence[Optional[int]],
-    ) -> None:
-        """Bulk feed: one numpy pass per chunk, per-group accumulation.
-
-        Computes every record's sample index in one vectorized shot,
-        splits the chunk into runs of equal sample index, and applies
-        each run as bulk increments between ``_close_sample`` calls —
-        the same sequence of state transitions the scalar loop produces,
-        minus the per-record interpreter work.
-        """
         n = len(records)
+        if n == 0:
+            return
         if isinstance(records, RecordBatch):
             ts = records.timestamps
         else:
@@ -309,11 +298,11 @@ class StreamingHybridPredictor(HybridPredictor):
         Builds the per-sample anchor-count matrix for all samples the
         chunk completes, runs one :meth:`VectorizedDetectorBank.tick_many`
         (inside one circuit-breaker boundary — a failure degrades every
-        anchor for the whole chunk, where the scalar loop degrades them
-        tick by tick), then replays the cheap per-sample bookkeeping —
-        ladder, chain triggering, drift, scoreboard — in the exact order
-        :meth:`_close_sample` uses.  Locations and per-type counts are
-        materialized lazily, only for samples that need them.
+        anchor for the whole chunk), then replays the cheap per-sample
+        bookkeeping — ladder, chain triggering, drift, scoreboard — in
+        the exact order :meth:`_close_sample` uses.  Locations and
+        per-type counts are materialized lazily, only for samples that
+        need them.
         """
         n = len(records)
         loc_of = _location_accessor(records)
@@ -388,17 +377,8 @@ class StreamingHybridPredictor(HybridPredictor):
                         flagged[anchors[i]] = True
             else:
                 for i, tid in enumerate(anchors):
-                    self.degraded_anchors.append(tid)
-                    if (
-                        self.ladder is not None
-                        and self.ladder.rung == Rung.RATE_BASELINE
-                    ):
-                        nb = self.behaviors.get(tid)
-                        if self.ladder.rate_baseline_outlier(
-                            float(values[i, j]),
-                            nb.mean_rate if nb is not None else None,
-                        ):
-                            flagged[tid] = True
+                    if self._skip_anchor(tid, float(values[i, j])):
+                        flagged[tid] = True
             n_before = len(self._predictions)
             if flagged or drift:
                 a = int(np.searchsorted(rel, j, "left"))
@@ -476,7 +456,7 @@ class StreamingHybridPredictor(HybridPredictor):
         """Close all remaining samples; returns the full prediction list.
 
         The list covers the whole run including any state restored from a
-        checkpoint, sorted by ``emitted_at`` like the batch engine.
+        checkpoint, sorted by ``emitted_at``.
         """
         while self._k < self.n_samples:
             self._close_sample()
@@ -583,37 +563,21 @@ class StreamingHybridPredictor(HybridPredictor):
                     flagged[self._anchors[i]] = True
             else:
                 # the whole tick is inside one error boundary on the
-                # fast path: a failure degrades every anchor for this
-                # sample (the scalar loop degrades them one by one)
+                # bank: a failure degrades every anchor for this sample
                 for tid in self._anchors:
-                    self.degraded_anchors.append(tid)
-                    if (
-                        self.ladder is not None
-                        and self.ladder.rung == Rung.RATE_BASELINE
-                    ):
-                        nb = self.behaviors.get(tid)
-                        if self.ladder.rate_baseline_outlier(
-                            float(counts.get(tid, 0)),
-                            nb.mean_rate if nb is not None else None,
-                        ):
-                            flagged[tid] = True
+                    if self._skip_anchor(tid, float(counts.get(tid, 0))):
+                        flagged[tid] = True
         else:
+            # one boundary per anchor: a detector that blows up on one
+            # pathological signal costs that anchor, not the sample
             for tid in self._anchors:
                 value = float(counts.get(tid, 0))
                 result = self.breakers.guarded(
                     "signals", lambda: self._detectors[tid].process(value)
                 )
                 if result is None:
-                    self.degraded_anchors.append(tid)
-                    if (
-                        self.ladder is not None
-                        and self.ladder.rung == Rung.RATE_BASELINE
-                    ):
-                        nb = self.behaviors.get(tid)
-                        if self.ladder.rate_baseline_outlier(
-                            value, nb.mean_rate if nb is not None else None
-                        ):
-                            flagged[tid] = True
+                    if self._skip_anchor(tid, value):
+                        flagged[tid] = True
                     continue
                 is_outlier, _corrected = result
                 if is_outlier:
@@ -645,7 +609,8 @@ class StreamingHybridPredictor(HybridPredictor):
         locs: Dict[int, List[str]],
         analysis_t: float,
     ) -> None:
-        """Identical trigger arithmetic to the batch engine, one sample."""
+        """Open, price and emit the chains of one sample's flagged
+        anchors."""
         cfg = self.config
         period = self.sampling_period
         t_anchor = self.t_start + s * period
@@ -753,7 +718,7 @@ class StreamingHybridPredictor(HybridPredictor):
 
         The bank emits the same per-detector dictionaries the scalar
         objects would, so checkpoints are interchangeable between the
-        fast and legacy paths.
+        bank and the per-anchor detectors.
         """
         if self._bank is not None:
             return {

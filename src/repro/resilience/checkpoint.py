@@ -241,8 +241,8 @@ class ResumableRun:
         """Records per feed chunk (and per ``_after_chunk`` call).
 
         ``batch_size`` decouples the feed granularity from the
-        checkpoint cadence: larger chunks amortize per-chunk overhead on
-        the batched fast path without writing checkpoints more often.
+        checkpoint cadence: larger chunks amortize per-chunk overhead in
+        the batched feed without writing checkpoints more often.
         """
         if self.batch_size is not None:
             return self.batch_size

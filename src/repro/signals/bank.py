@@ -53,7 +53,6 @@ import numpy as np
 from repro.signals.outliers import (
     OnlineOutlierDetector,
     OnlinePeriodicDetector,
-    OutlierResult,
     _DualWindow,
     restore_detector,
 )
@@ -675,19 +674,6 @@ class VectorizedDetectorBank:
         self._last_beat = lb_incl[:, -1].copy()
         self._per_k = k0 + m
         return burst | gap_hit, corrected
-
-    def process_matrix(self, x: np.ndarray) -> OutlierResult:
-        """Scan ``(n, t)`` signals in one batch (still strictly causal).
-
-        Equivalent to calling each scalar detector's ``process_array`` on
-        its row; detectors are independent, so ticking them together
-        changes nothing but the constant factor.
-        """
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[0] != self.n:
-            raise ValueError(f"expected ({self.n}, t) matrix, got {x.shape}")
-        flags, corrected = self.tick_many(x)
-        return OutlierResult(flags=flags, corrected=corrected)
 
     # -- scalar-compatible state --------------------------------------------
 

@@ -213,11 +213,10 @@ class TestSanitizeEquivalence:
 
 @pytest.fixture()
 def _restore_state(fitted_elsa):
-    """Snapshot HELO state and fast-path flag around each test."""
+    """Snapshot HELO state around each test."""
     helo_state = fitted_elsa.online_state_dict()
     yield
     fitted_elsa.restore_online_state(helo_state)
-    fitted_elsa.set_fast_path(True)
 
 
 class TestFeedEquivalence:
@@ -226,7 +225,6 @@ class TestFeedEquivalence:
     ):
         """RecordBatch through feed ≡ record objects, byte for byte."""
         helo_state = fitted_elsa.online_state_dict()
-        fitted_elsa.set_fast_path(True)
         test = small_scenario.test_records
         batch = RecordBatch.from_records(test)
 
@@ -247,7 +245,6 @@ class TestFeedEquivalence:
     ):
         """Kill a columnar run mid-stream; the resume stays identical."""
         helo_state = fitted_elsa.online_state_dict()
-        fitted_elsa.set_fast_path(True)
         test = small_scenario.test_records
         batch = RecordBatch.from_records(small_scenario.records)
 

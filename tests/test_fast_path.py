@@ -1,13 +1,16 @@
-"""Equivalence proofs for the streaming fast path.
+"""Equivalence proofs for the online engine's vectorized kernels.
 
-The fast path (indexed template matcher, vectorized detector bank,
-batched feed) is an implementation detail: every test here pins it to
-the scalar reference implementations bit for bit — on random inputs via
-hypothesis and end-to-end on the shared scenario, including state-dict /
-checkpoint round-trips taken mid-stream.
+The indexed template matcher, the vectorized detector bank and the
+batched feed are implementation details: every test here pins them to
+the scalar reference implementations in ``tests/reference/`` bit for
+bit — on random inputs via hypothesis and end-to-end on the shared
+scenario, including state-dict / checkpoint round-trips taken
+mid-stream and shuffled whole-window streams through
+``HybridPredictor.run``.
 """
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,12 +18,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.helo.template import MinedTemplate, TemplateTable
+from repro.prediction.engine import TestStream
 from repro.signals.bank import BankLayoutError, VectorizedDetectorBank
 from repro.signals.outliers import (
     OnlineOutlierDetector,
     OnlinePeriodicDetector,
     restore_detector,
 )
+from tests.reference.engines import batch_predict, feed_scalar, scalar_engine
+from tests.reference.matching import classify_linear, classify_tokens_linear
 
 TOKENS = ["alpha", "beta", "gamma", "delta", "eps", "zeta"]
 
@@ -67,7 +73,9 @@ class TestIndexedMatcher:
     @settings(max_examples=150, deadline=None)
     def test_index_matches_linear_scan(self, table, queries):
         for q in queries:
-            assert table.classify_tokens(q) == table.classify_tokens_linear(q)
+            assert table.classify_tokens(q) == classify_tokens_linear(
+                table, q
+            )
 
     @given(_template_table(), _queries())
     @settings(max_examples=60, deadline=None)
@@ -81,7 +89,9 @@ class TestIndexedMatcher:
     def test_index_survives_table_mutation(self, table, queries, data):
         """``add``/``replace`` mid-stream invalidate the index correctly."""
         for q in queries:
-            assert table.classify_tokens(q) == table.classify_tokens_linear(q)
+            assert table.classify_tokens(q) == classify_tokens_linear(
+                table, q
+            )
         length = data.draw(st.integers(1, 4))
         table.add(MinedTemplate(
             tokens=tuple(
@@ -98,16 +108,16 @@ class TestIndexedMatcher:
         if any(t is not None for t in widened):
             table.replace(tid, MinedTemplate(tokens=widened, support=1))
         for q in queries:
-            assert table.classify_tokens(q) == table.classify_tokens_linear(q)
+            assert table.classify_tokens(q) == classify_tokens_linear(
+                table, q
+            )
 
-    def test_disabled_index_is_the_linear_scan(self):
+    def test_earlier_wildcard_beats_exact_shape(self):
         table = TemplateTable()
         table.add(MinedTemplate(tokens=("a", None), support=1))
         table.add(MinedTemplate(tokens=("a", "b"), support=1))
-        table.use_index = False
         # the wildcarded earlier template wins even for the exact shape
-        assert table.classify_tokens(["a", "b"]) == 0
-        table.use_index = True
+        assert classify_tokens_linear(table, ["a", "b"]) == 0
         assert table.classify_tokens(["a", "b"]) == 0
 
 
@@ -231,11 +241,11 @@ class TestDetectorBank:
         bank = VectorizedDetectorBank(
             [restore_detector(d.state_dict()) for d in dets]
         )
-        result = bank.process_matrix(x)
+        flags, corrected = bank.tick_many(x)
         for i, det in enumerate(dets):
             ref = det.process_array(x[i])
-            np.testing.assert_array_equal(result.flags[i], ref.flags)
-            np.testing.assert_array_equal(result.corrected[i], ref.corrected)
+            np.testing.assert_array_equal(flags[i], ref.flags)
+            np.testing.assert_array_equal(corrected[i], ref.corrected)
 
     @given(
         st.integers(2, 6),                        # window
@@ -329,7 +339,7 @@ class TestDetectorBank:
 
 
 # ---------------------------------------------------------------------------
-# end-to-end: fast path == legacy path, through checkpoints
+# end-to-end: the online engine == the scalar references, through checkpoints
 # ---------------------------------------------------------------------------
 
 def pred_json(predictions):
@@ -337,47 +347,57 @@ def pred_json(predictions):
 
 
 @pytest.fixture()
-def _restore_fast_path(fitted_elsa):
-    """Keep the shared session pipeline on the fast path afterwards."""
+def _restore_helo(fitted_elsa):
+    """Put the shared session pipeline's HELO state back afterwards."""
     helo_state = fitted_elsa.online_state_dict()
     yield
-    fitted_elsa.set_fast_path(True)
     fitted_elsa.restore_online_state(helo_state)
 
 
 def _stream_predictions(elsa, scenario, fast, chunk=700, hop=None):
-    """Run the streaming engine over the test window.
+    """Run one online engine over the test window.
 
-    ``hop`` round-trips the predictor through ``state_dict`` onto a
-    *fresh* instance after that many chunks — a mid-stream checkpoint
-    crossing the fast/legacy boundary.
+    ``fast=True`` is the product: columnar-indexed classification and
+    the engine's own ``feed``.  ``fast=False`` is the record-at-a-time
+    reference: a linear template scan, ``feed_scalar`` and per-anchor
+    scalar detectors.  ``hop`` round-trips the predictor through
+    ``state_dict`` onto a *fresh* instance of the other engine after
+    that many chunks — a mid-stream checkpoint crossing the two.
     """
-    elsa.set_fast_path(fast)
-    predictor = elsa.streaming_predictor(scenario.train_end, scenario.t_end)
-    window = [
-        r for r in scenario.records
-        if scenario.train_end <= r.timestamp < scenario.t_end
-    ]
+    t0, t1 = scenario.train_end, scenario.t_end
+
+    def engine(fast, state=None):
+        if not fast:
+            return scalar_engine(elsa, t0, t1, state)
+        predictor = elsa.streaming_predictor(t0, t1)
+        if state is not None:
+            predictor.load_state(state)
+        return predictor
+
+    predictor = engine(fast)
+    window = [r for r in scenario.records if t0 <= r.timestamp < t1]
     for k, i in enumerate(range(0, len(window), chunk)):
         batch = window[i : i + chunk]
-        ids = elsa._classify(batch, online=True)
+        if hop is not None and k == hop:
+            # checkpoint onto the *other* engine mid-stream
+            fast = not fast
+            predictor = engine(fast, predictor.state_dict())
+        if fast:
+            ids = elsa._classify(batch, online=True)
+        else:
+            ids = classify_linear(elsa, batch)
         n_types = elsa.model.n_types
         ids = [t if (t is not None and t < n_types) else None for t in ids]
-        if hop is not None and k == hop:
-            # checkpoint onto the *other* path mid-stream
-            state = predictor.state_dict()
-            elsa.set_fast_path(not fast)
-            predictor = elsa.streaming_predictor(
-                scenario.train_end, scenario.t_end
-            )
-            predictor.load_state(state)
-        predictor.feed(batch, ids)
+        if fast:
+            predictor.feed(batch, ids)
+        else:
+            feed_scalar(predictor, batch, ids)
     return predictor.finish()
 
 
 class TestEndToEndEquivalence:
     def test_fast_equals_legacy(
-        self, fitted_elsa, small_scenario, _restore_fast_path
+        self, fitted_elsa, small_scenario, _restore_helo
     ):
         helo = fitted_elsa.online_state_dict()
         fast = _stream_predictions(fitted_elsa, small_scenario, fast=True)
@@ -387,10 +407,10 @@ class TestEndToEndEquivalence:
         assert pred_json(fast) == pred_json(legacy)
 
     def test_checkpoint_crosses_paths(
-        self, fitted_elsa, small_scenario, _restore_fast_path
+        self, fitted_elsa, small_scenario, _restore_helo
     ):
-        """A checkpoint written by the fast path resumes on the legacy
-        path (and vice versa) with byte-identical predictions."""
+        """A checkpoint written by the engine resumes on the scalar
+        reference (and vice versa) with byte-identical predictions."""
         helo = fitted_elsa.online_state_dict()
         reference = _stream_predictions(
             fitted_elsa, small_scenario, fast=True
@@ -407,10 +427,10 @@ class TestEndToEndEquivalence:
         assert pred_json(legacy_to_fast) == pred_json(reference)
 
     def test_batched_feed_equals_scalar_feed(
-        self, fitted_elsa, small_scenario, _restore_fast_path
+        self, fitted_elsa, small_scenario, _restore_helo
     ):
-        """Chunk size (including 1-record chunks on the scalar entry
-        point) never changes the output."""
+        """Chunk size (including chunks that close no sample) never
+        changes the output."""
         helo = fitted_elsa.online_state_dict()
         big = _stream_predictions(
             fitted_elsa, small_scenario, fast=True, chunk=5000
@@ -420,3 +440,56 @@ class TestEndToEndEquivalence:
             fitted_elsa, small_scenario, fast=True, chunk=13
         )
         assert pred_json(big) == pred_json(tiny)
+
+
+@pytest.fixture(scope="module")
+def classified_window(fitted_elsa, small_scenario):
+    """The test window classified once, in time order."""
+    helo_state = fitted_elsa.online_state_dict()
+    stream = fitted_elsa.make_stream(
+        small_scenario.records, small_scenario.train_end,
+        small_scenario.t_end,
+    )
+    fitted_elsa.restore_online_state(helo_state)
+    return stream
+
+
+class TestRunEqualsBatchReference:
+    @given(
+        st.floats(0.0, 0.8),                       # window start (fraction)
+        st.floats(0.05, 0.4),                      # window length (fraction)
+        st.integers(0, 2**32 - 1),                 # shuffle seed
+        st.sampled_from(["hybrid", "signal"]),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_shuffled_streams_match_the_batch_engine(
+        self, fitted_elsa, classified_window, start, length, seed, method
+    ):
+        """``HybridPredictor.run`` over any record order of a window ≡
+        the whole-window batch engine, predictions and counters alike."""
+        full = classified_window
+        span = full.t_end - full.t_start
+        t0 = full.t_start + start * span
+        t1 = min(full.t_end, t0 + length * span)
+        keep = [
+            i for i, r in enumerate(full.records) if t0 <= r.timestamp < t1
+        ]
+        order = np.random.default_rng(seed).permutation(len(keep))
+        stream = TestStream(
+            records=[full.records[keep[i]] for i in order],
+            event_ids=[full.event_ids[keep[i]] for i in order],
+            n_types=full.n_types,
+            t_start=t0,
+            t_end=t1,
+            sampling_period=full.sampling_period,
+        )
+        make = (
+            fitted_elsa.hybrid_predictor if method == "hybrid"
+            else fitted_elsa.signal_predictor
+        )
+        expect, too_late = batch_predict(make(), stream)
+        predictor = make()
+        got = predictor.run(stream)
+        assert pred_json(got) == pred_json(expect)
+        assert predictor.n_too_late == too_late
+        assert predictor.chain_usage == Counter(p.chain_key for p in got)

@@ -115,8 +115,9 @@ class TestPredictorDegradation:
     """The error boundary inside HybridPredictor: one path fails, the
     other carries on."""
 
-    def test_location_failure_degrades_to_anchor_node(self, fitted_elsa,
-                                                      small_scenario):
+    def test_location_failure_degrades_to_anchor_node(
+        self, fitted_elsa, small_scenario, monkeypatch
+    ):
         helo_state = fitted_elsa.online_state_dict()
         try:
             stream = fitted_elsa.make_stream(
@@ -136,7 +137,11 @@ class TestPredictorDegradation:
             def explode(chain, anchor_loc):
                 raise RuntimeError("location model corrupted")
 
-            predictor.location_predictor.predict = explode
+            # the location model is the shared session model's own;
+            # monkeypatch puts its method back for the tests after this
+            monkeypatch.setattr(
+                predictor.location_predictor, "predict", explode
+            )
             degraded = predictor.run(stream)
             # same prediction stream, locations fall back to the anchor
             assert len(degraded) == len(baseline)
@@ -182,6 +187,46 @@ class TestPredictorDegradation:
             assert all(p.anchor_event != bad for p in predictions)
         finally:
             fitted_elsa.restore_online_state(helo_state)
+
+
+    @pytest.mark.parametrize("route", ["resumable", "run"])
+    def test_open_signals_breaker_degrades_each_anchor_once(
+        self, fitted_elsa, small_scenario, route
+    ):
+        """With the signals breaker held open, every anchor is listed
+        once, in first-degraded order, and every skipped (anchor,
+        closed sample) pair is counted."""
+        from repro.resilience.checkpoint import ResumableRun
+
+        sc = small_scenario
+        helo_state = fitted_elsa.online_state_dict()
+        breakers = ComponentBreakers(failure_threshold=1, clock=lambda: 0.0)
+        breakers.guarded("signals", boom)  # open, and never cools down
+        counter = obs.counter("predictor.anchors_degraded")
+        before = counter.value
+        try:
+            if route == "resumable":
+                run = ResumableRun(fitted_elsa, sc.train_end, sc.t_end)
+                run.history = None
+                run.slo = None
+                predictor = run.predictor
+                predictor.breakers = breakers
+                run.run(sc.records)
+                n_samples = predictor.n_samples
+            else:
+                stream = fitted_elsa.make_stream(
+                    sc.records, sc.train_end, sc.t_end
+                )
+                predictor = fitted_elsa.hybrid_predictor()
+                predictor.breakers = breakers
+                predictor.run(stream)
+                n_samples = stream.signals.n_samples
+        finally:
+            fitted_elsa.restore_online_state(helo_state)
+        anchors = sorted({c.anchor for c in predictor.chains})
+        assert anchors
+        assert predictor.degraded_anchors == anchors
+        assert counter.value - before == len(anchors) * n_samples
 
 
 class TestThreadSafety:

@@ -1,8 +1,9 @@
 """Crash-recovery tests: streaming equivalence and kill-and-resume.
 
-The contract under test: the streaming engine fed any chunking of the
+The contract under test: the online engine fed any chunking of the
 same records — killed and restored from a JSON checkpoint any number of
-times — produces predictions byte-identical to the batch engine.
+times — produces predictions byte-identical to the reference batch
+engine in ``tests/reference/``.
 """
 
 import json
@@ -15,6 +16,7 @@ from repro.resilience.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
+from tests.reference.engines import batch_predict
 
 
 def pred_json(predictions):
@@ -23,7 +25,7 @@ def pred_json(predictions):
 
 @pytest.fixture(scope="module")
 def batch_reference(fitted_elsa, small_scenario):
-    """Batch-engine predictions plus the post-fit HELO state.
+    """Reference batch-engine predictions plus the post-fit HELO state.
 
     ``fitted_elsa`` is session-scoped and online classification mutates
     its HELO state, so each test snapshots the state up front and the
@@ -35,7 +37,7 @@ def batch_reference(fitted_elsa, small_scenario):
         small_scenario.train_end,
         small_scenario.t_end,
     )
-    batch = fitted_elsa.hybrid_predictor().run(stream)
+    batch, _ = batch_predict(fitted_elsa.hybrid_predictor(), stream)
     fitted_elsa.restore_online_state(helo_state)
     yield batch, helo_state
     fitted_elsa.restore_online_state(helo_state)
