@@ -11,7 +11,9 @@ holds the sha256 of the canonical prediction JSON
   run killed mid-stream and continued with ``ResumableRun.resume``;
 * ``signal`` — the signal-only baseline's ``run``;
 * ``fleet`` — ``Fleet.run`` over 4 hashed tenants, on record objects
-  and on a ``RecordBatch``.
+  and on a ``RecordBatch``; and the same 4 tenants fed through
+  ``IngestAPI.handle_request`` in process (NDJSON bodies, sequenced
+  per-tenant batches, one seal per tenant).
 
 The input digest is checked first, so a change in the generated
 scenario (a new numpy, say) fails with its own message instead of as
@@ -36,12 +38,22 @@ import scipy
 
 from repro import ELSA
 from repro.columnar import RecordBatch
-from repro.fleet import Fleet, ManualClock, hashed_tenant_key
+from repro.fleet import (
+    Fleet,
+    IngestAPI,
+    IngestConfig,
+    ManualClock,
+    hashed_tenant_key,
+)
+from repro.fleet.ingest import encode_records
 from repro.resilience.checkpoint import ResumableRun, load_checkpoint
 
 GOLDEN = Path(__file__).parent / "golden" / "predictions.json"
 
 TENANTS = ["t0", "t1", "t2", "t3"]
+
+#: records per ingest request, per tenant
+INGEST_BATCH = 64
 
 
 def _sha(payload) -> str:
@@ -142,6 +154,62 @@ class Pipeline:
         finally:
             fleet.close()
 
+    def ingest(self, records, workdir: Path):
+        """The HTTP ingest contract in process, without sockets.
+
+        Records go out the way ``IngestClient.feed`` sends them: split
+        by tenant, ``INGEST_BATCH`` per request in arrival order, the
+        tails in tenant order, each request sequenced on its own
+        stream.  Returns tenant -> predictions payloads of the seals
+        and the status of every ingest request.
+        """
+        sc = self.sc
+        key = hashed_tenant_key(len(TENANTS))
+        fleet = Fleet.build(
+            self.fresh(), TENANTS, sc.train_end, sc.t_end, key, workdir,
+            clock=ManualClock(), register=False,
+        )
+        api = IngestAPI(fleet, config=IngestConfig(
+            admission_capacity=1e9, admission_rate=1e9,
+        ))
+        seqs = {tenant: 0 for tenant in TENANTS}
+        statuses = []
+
+        def send(tenant, batch):
+            headers = {
+                "x-stream-id": "golden",
+                "x-batch-seq": str(seqs[tenant]),
+            }
+            seqs[tenant] += 1
+            code, _, _ = api.handle_request(
+                "POST", f"/ingest/{tenant}", headers,
+                encode_records(batch),
+            )
+            statuses.append(code)
+
+        try:
+            buffers = {}
+            for rec in records:
+                tenant = key(rec.location)
+                buf = buffers.setdefault(tenant, [])
+                buf.append(rec)
+                if len(buf) >= INGEST_BATCH:
+                    send(tenant, buf)
+                    buf.clear()
+            for tenant in sorted(buffers):
+                if buffers[tenant]:
+                    send(tenant, buffers[tenant])
+            sealed = {}
+            for tenant in TENANTS:
+                code, payload, _ = api.handle_request(
+                    "POST", f"/seal/{tenant}", {}, b""
+                )
+                assert code == 200 and payload["sealed"], payload
+                sealed[tenant] = payload["predictions"]
+            return sealed, statuses
+        finally:
+            fleet.close()
+
 
 def compute(scenario, workdir: Path) -> dict:
     """Every digest of the golden file, computed from scratch."""
@@ -228,6 +296,13 @@ class TestGoldenDigests:
         batch = RecordBatch.from_records(pipeline.sc.test_records)
         out = pipeline.fleet(batch, tmp_path)
         _expect(golden, "fleet", fleet_digest(out))
+
+    def test_ingest_api_in_process(self, pipeline, golden, tmp_path):
+        sealed, statuses = pipeline.ingest(pipeline.sc.test_records, tmp_path)
+        # generous admission: every batch applies, none is pushed back
+        assert statuses and set(statuses) == {200}
+        assert sorted(sealed) == TENANTS
+        _expect(golden, "fleet", _sha(sealed))
 
 
 def main() -> int:
