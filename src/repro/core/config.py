@@ -23,10 +23,11 @@ class PipelineConfig:
     only the last two months in the on-line module"); scaled scenarios
     keep proportionally less.
     ``resilience`` enables the hardened ingestion path: records entering
-    ``fit``/``make_stream`` are sanitized through a
-    :class:`~repro.resilience.stream.ResilientStream` (quarantine,
-    dedupe, reorder, gap sentinels).  ``None`` (the default) bypasses it
-    entirely, keeping the clean-input pipeline byte-identical.
+    ``fit``/``make_stream`` are sanitized by
+    :func:`~repro.resilience.stream.sanitize_batch` (late quarantine,
+    dedupe, backpressure, reorder, gap sentinels).  ``None`` (the
+    default) bypasses it entirely, keeping the clean-input pipeline
+    byte-identical.
     """
 
     sampling_period: float = 10.0

@@ -54,13 +54,15 @@ from pathlib import Path
 from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro import obs
-from repro.fleet.policy import FleetPolicy
+from repro.columnar import RecordBatch
 from repro.fleet.runner import Fleet
 from repro.fleet.shard import ShardState
 from repro.obs.live import TelemetryServer
 from repro.obs.slo import SLOSpec, _fresh_state
-from repro.simulation.trace import LogRecord, Severity
+from repro.simulation.trace import Severity, parse_timestamp
 
 __all__ = [
     "AdmissionController",
@@ -69,8 +71,6 @@ __all__ = [
     "IngestLedger",
     "IngestServer",
     "decode_batch",
-    "decode_records",
-    "encode_batch",
     "encode_records",
     "ingest_slos",
 ]
@@ -106,50 +106,17 @@ def encode_records(records) -> bytes:
     return ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8")
 
 
-def encode_batch(batch) -> bytes:
-    """:class:`RecordBatch` → NDJSON bytes, without record objects.
-
-    Same wire format as :func:`encode_records` (byte-identical output
-    for the same records) — the columns are read directly, so a client
-    holding a batch never materializes ``LogRecord`` objects just to
-    put them on the wire.
-    """
-    ts = batch.timestamps.tolist()
-    sevs = batch.severities.tolist()
-    pool = batch.loc_pool
-    lids = batch.loc_ids.tolist()
-    msgs = batch.messages
-    ets = batch.event_types
-    fids = batch.fault_ids
-    lines = []
-    for i in range(len(batch)):
-        row = {
-            "t": ts[i],
-            "loc": pool[lids[i]],
-            "sev": sevs[i],
-            "msg": msgs[i],
-        }
-        if ets is not None and ets[i] is not None:
-            row["et"] = int(ets[i])
-        if fids is not None and fids[i] is not None:
-            row["fid"] = int(fids[i])
-        lines.append(json.dumps(row, separators=(",", ":")))
-    return ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8")
-
-
 def decode_batch(body: bytes, max_records: Optional[int] = None
-                 ) -> "RecordBatch":
+                 ) -> RecordBatch:
     """NDJSON bytes → :class:`RecordBatch`; ``ValueError`` if malformed.
 
-    The columnar twin of :func:`decode_records`: same strict
-    whole-batch-or-nothing validation (same error messages, so client
-    behavior cannot depend on which decoder the server runs), but rows
-    land directly in columns with locations interned once.
+    Strict on purpose: a half-applied batch cannot be deduplicated, so
+    any malformed line — bad JSON, a missing or unknown field, a
+    non-finite timestamp, a number no field can hold — rejects the
+    whole batch *before* anything is routed (400 to the client, nothing
+    entered the fleet).  ``ValueError`` is the only exception raised.
+    Rows land directly in columns with locations interned once.
     """
-    import numpy as np
-
-    from repro.columnar import RecordBatch
-
     ts: List[float] = []
     lids: List[int] = []
     sevs: List[int] = []
@@ -167,7 +134,7 @@ def decode_batch(body: bytes, max_records: Optional[int] = None
             raise ValueError(f"batch exceeds {max_records} records")
         try:
             row = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"line {i + 1}: bad JSON ({exc})") from None
         if not isinstance(row, dict):
             raise ValueError(f"line {i + 1}: expected an object")
@@ -177,13 +144,13 @@ def decode_batch(body: bytes, max_records: Optional[int] = None
                 f"line {i + 1}: unknown fields {sorted(unknown)}"
             )
         try:
-            t = float(row["t"])
+            t = parse_timestamp(row["t"])
             loc = str(row["loc"])
             sev = int(Severity(int(row["sev"])))
             msg = str(row["msg"])
             et = None if row.get("et") is None else int(row["et"])
             fid = None if row.get("fid") is None else int(row["fid"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"line {i + 1}: {exc}") from None
         lid = index.get(loc)
         if lid is None:
@@ -212,51 +179,6 @@ def decode_batch(body: bytes, max_records: Optional[int] = None
         fault_ids=fids,
         loc_index=index,
     )
-
-
-def decode_records(body: bytes, max_records: Optional[int] = None
-                   ) -> List[LogRecord]:
-    """NDJSON bytes → records; raises ``ValueError`` on malformed input.
-
-    Strict on purpose: a half-applied batch cannot be deduplicated, so
-    any malformed line rejects the whole batch *before* anything is
-    routed (400 to the client, nothing entered the fleet).
-    """
-    records: List[LogRecord] = []
-    text = body.decode("utf-8")
-    for i, line in enumerate(text.splitlines()):
-        line = line.strip()
-        if not line:
-            continue
-        if max_records is not None and len(records) >= max_records:
-            raise ValueError(f"batch exceeds {max_records} records")
-        try:
-            row = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"line {i + 1}: bad JSON ({exc})") from None
-        if not isinstance(row, dict):
-            raise ValueError(f"line {i + 1}: expected an object")
-        unknown = set(row) - set(_FIELDS)
-        if unknown:
-            raise ValueError(
-                f"line {i + 1}: unknown fields {sorted(unknown)}"
-            )
-        try:
-            records.append(LogRecord(
-                timestamp=float(row["t"]),
-                location=str(row["loc"]),
-                severity=Severity(int(row["sev"])),
-                message=str(row["msg"]),
-                event_type=(
-                    None if row.get("et") is None else int(row["et"])
-                ),
-                fault_id=(
-                    None if row.get("fid") is None else int(row["fid"])
-                ),
-            ))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"line {i + 1}: {exc}") from None
-    return records
 
 
 class IngestConfig:

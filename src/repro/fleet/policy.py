@@ -55,8 +55,8 @@ class FleetPolicy:
         quarantines the shard instead of scheduling another restart.
     overflow_stride:
         Backpressure sampling on a full queue: every Nth non-severe
-        overflow record is still admitted (the
-        :class:`~repro.resilience.stream.ResilientStream` semantics).
+        overflow record is still admitted (the rate-limit rule of
+        :func:`~repro.resilience.stream.sanitize_batch`).
     dead_letter_cap:
         Bounded dead-letter ring shared by the whole fleet.
     idle_advance_seconds:

@@ -1,114 +1,70 @@
 """Segmented record queue: O(1) batch enqueue/dequeue for shard handoff.
 
-The fleet's queues historically held one Python object per record, so a
-columnar ingest path would pay object materialization at every shard
-boundary — router → queue, queue → feed, feed → replay buffer.
 :class:`RecordDeque` keeps :class:`~repro.columnar.RecordBatch`
-*segments* intact end to end: a routed batch enqueues as one segment
-(one pointer), ``popn`` hands the feed a zero-copy slice (or a concat
-when a chunk spans segments), and the replay buffer re-appends the same
-segment it popped.  Scalar :meth:`append` still works and mixes freely
-with batches; a pop that touches any scalar segment degrades to a
-record list, so consumers see exactly the two shapes
-(``RecordBatch | List[LogRecord]``) the rest of the pipeline already
-speaks.
+*segments* intact end to end, so no shard boundary — router → queue,
+queue → feed, feed → replay buffer — materializes record objects: a
+routed batch enqueues as one segment (one pointer), ``popn`` hands the
+feed a zero-copy slice (or a concat when a chunk spans segments), and
+the replay buffer re-appends the same batch it popped.
 
-``len``/truthiness/iteration/``list()`` all behave like the plain
-``deque`` of records this replaces (iteration materializes records —
-it is the forensics/fence path, not the hot one).
+``len``/truthiness/iteration/``list()`` behave like a plain ``deque`` of
+records (iteration materializes records — it is the forensics/fence
+path, not the hot one).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterator, List, Union
+from typing import Deque, Iterator
 
 from repro.columnar import RecordBatch
 from repro.simulation.trace import LogRecord
 
 __all__ = ["RecordDeque"]
 
-#: what popn/drain hand to the consumer
-Popped = Union[RecordBatch, List[LogRecord]]
-
 
 class RecordDeque:
-    """A FIFO of records stored as batch segments and scalar entries."""
+    """A FIFO of records stored as batch segments."""
 
     __slots__ = ("_segs", "_len")
 
     def __init__(self) -> None:
-        self._segs: deque = deque()
+        self._segs: Deque[RecordBatch] = deque()
         self._len = 0
 
-    # -- enqueue -------------------------------------------------------------
-
-    def append(self, rec: LogRecord) -> None:
-        """Enqueue one record object."""
-        self._segs.append(rec)
-        self._len += 1
-
-    def append_batch(self, batch: RecordBatch) -> None:
+    def extend(self, batch: RecordBatch) -> None:
         """Enqueue a whole batch as one segment (no per-record work)."""
         if len(batch):
             self._segs.append(batch)
             self._len += len(batch)
 
-    def extend(self, records) -> None:
-        """Enqueue a batch, another popped result, or any record iterable."""
-        if isinstance(records, RecordBatch):
-            self.append_batch(records)
-            return
-        for rec in records:
-            self.append(rec)
+    def popn(self, n: int) -> RecordBatch:
+        """Dequeue up to ``n`` records from the front as one batch.
 
-    # -- dequeue -------------------------------------------------------------
-
-    def popn(self, n: int) -> Popped:
-        """Dequeue up to ``n`` records from the front.
-
-        All-batch pops return a :class:`RecordBatch` (a zero-copy view
-        when the chunk lives inside one segment); pops touching scalar
-        entries return a record list.
+        A zero-copy view when the chunk lives inside one segment, a
+        concat when it spans several.
         """
-        parts: list = []
+        parts = []
         got = 0
         while got < n and self._segs:
             seg = self._segs[0]
-            if isinstance(seg, RecordBatch):
-                take = min(n - got, len(seg))
-                if take == len(seg):
-                    parts.append(seg)
-                    self._segs.popleft()
-                else:
-                    parts.append(seg[:take])
-                    self._segs[0] = seg[take:]
-                got += take
-            else:
+            take = min(n - got, len(seg))
+            if take == len(seg):
                 parts.append(self._segs.popleft())
-                got += 1
-        self._len -= got
-        if parts and all(isinstance(p, RecordBatch) for p in parts):
-            if len(parts) == 1:
-                return parts[0]
-            return RecordBatch.concat(parts)
-        out: List[LogRecord] = []
-        for p in parts:
-            if isinstance(p, RecordBatch):
-                out.extend(p.to_records())
             else:
-                out.append(p)
-        return out
+                parts.append(seg.slice(0, take))
+                self._segs[0] = seg.slice(take, len(seg))
+            got += take
+        self._len -= got
+        return RecordBatch.concat(parts)
 
-    def drain(self) -> Popped:
+    def drain(self) -> RecordBatch:
         """Dequeue everything (the restart-replay path)."""
         return self.popn(self._len)
 
     def clear(self) -> None:
         self._segs.clear()
         self._len = 0
-
-    # -- inspection ----------------------------------------------------------
 
     def __len__(self) -> int:
         return self._len
@@ -119,7 +75,4 @@ class RecordDeque:
     def __iter__(self) -> Iterator[LogRecord]:
         """Record-object iteration (cold paths: forensics, fencing)."""
         for seg in self._segs:
-            if isinstance(seg, RecordBatch):
-                yield from seg.to_records()
-            else:
-                yield seg
+            yield from seg.to_records()

@@ -1,13 +1,13 @@
 """Ingestion routing: tenant keying, bounded queues, dead-lettering.
 
-The router is the fleet's front door: every incoming record is keyed to
-a tenant (:func:`rack_subtree_key` for topology-aligned sharding,
+The router is the fleet's front door: every incoming batch is split by
+tenant (:func:`rack_subtree_key` for topology-aligned sharding,
 :func:`hashed_tenant_key` for an arbitrary shard count), offered to that
-tenant's bounded queue, and — when the shard is fenced, unknown, or the
-record falls outside its window — diverted to a bounded dead-letter
-ring instead of blocking or poisoning siblings.  Backpressure on a full
-queue is the shard's (stride-sampling, severe-always) policy; the
-router just counts the verdicts.
+tenant's bounded queue, and — when the shard is fenced or unknown —
+diverted to a bounded dead-letter ring instead of blocking or poisoning
+siblings.  Window checks and backpressure on a full queue are the
+shard's (stride-sampling, severe-always) policy; the router just counts
+the verdicts.
 """
 
 from __future__ import annotations
@@ -101,45 +101,15 @@ class IngestionRouter:
             "dead_lettered": 0,
         }
 
-    def route(self, rec: LogRecord) -> str:
-        """Place one record; returns the verdict string."""
-        self.stats["routed"] += 1
-        tenant = self.key(rec.location)
-        shard = self.shards.get(tenant)
-        if shard is None:
-            self._dead(rec, "unknown-tenant", tenant)
-            return "dead-letter"
-        if shard.state is ShardState.QUARANTINED:
-            # fencing: a parked shard's traffic is preserved for the
-            # operator, never queued behind a shard that will not drain
-            self._dead(rec, "fenced", tenant)
-            return "dead-letter"
-        verdict = shard.offer(rec)
-        if verdict == "accepted" and shard.pending_trace is None:
-            # mint the causal trace at ingestion: this batch-epoch of
-            # the tenant's queue travels as one chain through the shard
-            # pump, feed_chunk, and prediction provenance
-            from repro.obs.forensics import mint_trace
-
-            shard.pending_trace = mint_trace(tenant=tenant)
-        self.stats[verdict] = self.stats.get(verdict, 0) + 1
-        if verdict == "shed":
-            obs.counter("fleet.records_shed").inc()
-            obs.counter("fleet.records_shed").labels(tenant=tenant).inc()
-            obs.counter("fleet.records_shed").labels(
-                severity=rec.severity.name
-            ).inc()
-        return verdict
-
     def route_batch(self, batch: RecordBatch) -> dict:
         """Place a whole batch; returns ``{verdict: count}``.
 
         The tenant key runs once per *pool location*, not per record
         (a batch has thousands of rows over a handful of locations);
-        each tenant's rows then travel to its shard as one sub-batch
-        and enqueue as a single segment via
-        :meth:`Shard.offer_batch`.  Per-tenant record order — the only
-        order a shard can see — matches scalar routing exactly.
+        each tenant's rows then travel to its shard as one sub-batch,
+        in arrival order, and enqueue as a single segment via
+        :meth:`Shard.offer_batch`.  Rows for an unknown or fenced
+        tenant go to the dead-letter ring instead.
         """
         totals = {"accepted": 0, "rejected": 0, "shed": 0,
                   "dead-letter": 0}

@@ -26,9 +26,10 @@ import os
 import re
 import time
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro import obs
+from repro.columnar import RecordBatch
 from repro.fleet.policy import FleetPolicy
 from repro.fleet.router import IngestionRouter, partition_faults
 from repro.fleet.shard import Shard, ShardState
@@ -131,8 +132,8 @@ class Fleet:
 
     Build one with :meth:`build` (deep-copies the fitted ELSA per
     tenant), then :meth:`run` the stream — or drive
-    :meth:`route`/:meth:`pump`/:meth:`drain`/:meth:`finish` yourself
-    (the chaos tests do, to interleave kills with pumping).
+    :meth:`route_batch`/:meth:`pump`/:meth:`drain`/:meth:`finish`
+    yourself (the chaos tests do, to interleave kills with pumping).
     """
 
     def __init__(
@@ -232,23 +233,14 @@ class Fleet:
 
     # -- driving -------------------------------------------------------------
 
-    def route(self, rec) -> str:
-        """Route one record; pumps every ``pump_interval_records``."""
-        verdict = self.router.route(rec)
-        self.stream_time = rec.timestamp
-        self._routed += 1
-        if self._routed % self.policy.pump_interval_records == 0:
-            self.pump()
-        return verdict
-
     def route_batch(self, batch) -> dict:
         """Route a :class:`RecordBatch`; returns ``{verdict: count}``.
 
-        The batch is sliced (zero-copy) on the same pump cadence the
-        scalar path follows — a pump lands exactly every
-        ``pump_interval_records`` routed records, wherever batch
-        boundaries fall — so shard scheduling, and therefore every
-        tenant's output, is identical to routing record objects.
+        The batch is sliced (zero-copy) on the pump cadence: a pump
+        lands exactly every ``pump_interval_records`` routed records,
+        wherever batch boundaries fall, so shard scheduling — and
+        therefore every tenant's output — does not depend on how the
+        stream was cut into batches.
         """
         totals = {"accepted": 0, "rejected": 0, "shed": 0,
                   "dead-letter": 0}
@@ -342,16 +334,15 @@ class Fleet:
         self._observe(force=True)
         return out
 
-    def run(self, records: Iterable) -> Dict[str, list]:
-        """Route the whole stream, drain, finish — the one-call path."""
-        with obs.span("fleet", tenants=len(self.shards)) as sp:
-            from repro.columnar import RecordBatch
+    def run(self, records: Union[RecordBatch, Sequence]) -> Dict[str, list]:
+        """Route the whole stream, drain, finish — the one-call path.
 
-            if isinstance(records, RecordBatch):
-                self.route_batch(records)
-            else:
-                for rec in records:
-                    self.route(rec)
+        A record list is columnarized once.
+        """
+        with obs.span("fleet", tenants=len(self.shards)) as sp:
+            if not isinstance(records, RecordBatch):
+                records = RecordBatch.from_records(records)
+            self.route_batch(records)
             self.drain()
             out = self.finish()
             sp["records"] = self._routed

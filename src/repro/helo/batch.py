@@ -8,9 +8,10 @@ re-splits a message).  Semantics are exactly those of
 :func:`~repro.simulation.trace.read_log`:
 
 - blank (whitespace-only) lines are skipped silently;
-- malformed lines raise ``ValueError("malformed log line: ...")``
-  unless ``lenient=True``, in which case they are skipped and counted
-  once on the shared ``ingest.malformed_lines`` obs counter;
+- malformed lines — a non-finite timestamp included — raise
+  ``ValueError("malformed log line: ...")`` unless ``lenient=True``, in
+  which case they are skipped and counted once on the shared
+  ``ingest.malformed_lines`` obs counter;
 - severity parsing accepts names, aliases, and numeric ladder values
   (memoized per distinct raw token — real logs carry a handful).
 
@@ -18,8 +19,9 @@ In lenient mode timestamps are decoded in one vectorized
 ``np.asarray(..., float64)`` pass (numpy's string parser agrees with
 Python ``float()`` on every accepted form; a per-row fallback re-parses
 only when the bulk pass rejects the column, so a malformed timestamp
-never takes its neighbours down).  Strict mode parses per row so the
-*first* malformed line raises, exactly like the scalar reader.
+never takes its neighbours down), then rows with a non-finite
+timestamp are dropped.  Strict mode parses per row so the *first*
+malformed line raises, exactly like the scalar reader.
 
 ``tests/test_columnar.py`` holds the line-level equivalence property:
 for any input, ``parse_lines_batch(lines).to_records()`` equals
@@ -28,12 +30,13 @@ for any input, ``parse_lines_batch(lines).to_records()`` equals
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, List
 
 import numpy as np
 
 from repro.columnar import RecordBatch
-from repro.simulation.trace import Severity
+from repro.simulation.trace import Severity, parse_timestamp
 
 __all__ = ["parse_lines_batch", "read_log_batch"]
 
@@ -94,7 +97,7 @@ def parse_lines_batch(
         if not lenient:
             # strict mode decodes per row so the *first* bad line raises
             try:
-                float(ts_s)
+                parse_timestamp(ts_s)
             except ValueError:
                 raise ValueError(f"malformed log line: {line!r}") from None
         lid = loc_get(loc)
@@ -110,9 +113,21 @@ def parse_lines_batch(
     try:
         timestamps = np.asarray(ts_strs, dtype=np.float64)
     except ValueError:
-        timestamps, skipped = _timestamp_fallback(
-            ts_strs, lid_list, sev_list, msgs, toks, skipped
+        # one bad string rejects the whole bulk pass: decode per row,
+        # rejects as nan, so the finiteness check drops just those rows
+        timestamps = np.array(
+            [_float_or_nan(t) for t in ts_strs], dtype=np.float64
         )
+    bad = ~np.isfinite(timestamps)
+    if bad.any():
+        # lenient mode only: strict mode raised on the row already
+        keep = np.flatnonzero(~bad).tolist()
+        timestamps = timestamps[keep]
+        lid_list = [lid_list[i] for i in keep]
+        sev_list = [sev_list[i] for i in keep]
+        msgs = [msgs[i] for i in keep]
+        toks = [toks[i] for i in keep]
+        skipped += int(bad.sum())
     if skipped:
         from repro import obs
 
@@ -128,28 +143,11 @@ def parse_lines_batch(
     )
 
 
-def _timestamp_fallback(ts_strs, lid_list, sev_list, msgs, toks, skipped):
-    """Per-row timestamp decode after a bulk reject (lenient mode only).
-
-    Rows whose timestamp Python ``float()`` also rejects are dropped
-    from every column and counted as skipped; the rest are kept, so one
-    corrupt timestamp costs one record, not the whole batch.
-    """
-    values: List[float] = []
-    keep: List[int] = []
-    for i, s in enumerate(ts_strs):
-        try:
-            values.append(float(s))
-        except ValueError:
-            skipped += 1
-            continue
-        keep.append(i)
-    if len(keep) != len(ts_strs):
-        lid_list[:] = [lid_list[i] for i in keep]
-        sev_list[:] = [sev_list[i] for i in keep]
-        msgs[:] = [msgs[i] for i in keep]
-        toks[:] = [toks[i] for i in keep]
-    return np.asarray(values, dtype=np.float64), skipped
+def _float_or_nan(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
 
 
 def read_log_batch(fh, lenient: bool = False) -> RecordBatch:

@@ -5,8 +5,9 @@ gappy, full of evolving message shapes — yet analysis pipelines tend to
 assume clean, sorted, well-formed input.  This package is the boundary
 between that hostile reality and the pipeline's assumptions:
 
-* :class:`ResilientStream` (``repro.resilience.stream``) — quarantine,
-  dedupe, bounded reordering, gap/clock sentinels, backpressure;
+* :func:`sanitize_batch` (``repro.resilience.stream``) — late
+  quarantine, dedupe, backpressure, bounded reordering, gap/clock
+  sentinels over a columnar record batch;
 * :class:`CircuitBreaker` / :class:`ComponentBreakers`
   (``repro.resilience.breaker``) — per-component failure budgets so one
   bad component degrades, never crashes, the predictor;
@@ -35,8 +36,7 @@ from repro.resilience.config import ResilienceConfig
 from repro.resilience.stream import (
     GAP_MARKER_LOCATION,
     DeadLetter,
-    ResilientStream,
-    sanitize_records,
+    sanitize_batch,
 )
 from repro.resilience.wire import ChaosTransport, WireDropped
 
@@ -49,7 +49,6 @@ __all__ = [
     "DeadLetter",
     "GAP_MARKER_LOCATION",
     "ResilienceConfig",
-    "ResilientStream",
     "WireDropped",
-    "sanitize_records",
+    "sanitize_batch",
 ]

@@ -17,8 +17,8 @@ record iterator, modelling one real-world ingestion pathology:
 
 Perturbations compose with :func:`perturb`; all honour their seed, so a
 chaos test matrix is exactly reproducible.  The harness exists to prove
-one property: the pipeline behind a
-:class:`~repro.resilience.ResilientStream` never raises and degrades
+one property: the pipeline behind
+:func:`~repro.resilience.sanitize_batch` never raises and degrades
 gracefully under every one of these, alone or combined.
 """
 

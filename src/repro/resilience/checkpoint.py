@@ -46,7 +46,7 @@ import time
 from contextlib import nullcontext
 from pathlib import Path
 from time import perf_counter
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -219,22 +219,18 @@ class ResumableRun:
 
     # -- driving ---------------------------------------------------------------
 
-    def _classify(self, records: Sequence[LogRecord]):
-        ids = self.elsa._classify(records, online=True)
+    def _classify(self, batch: RecordBatch) -> np.ndarray:
+        """Model event ids (int64, ``-1`` = unclassified or unknown)."""
+        ids = self.elsa._classify(batch, online=True)
         n_types = self.elsa.model.n_types
-        if isinstance(ids, np.ndarray):
-            # columnar route: -1 plays the role of None
-            return np.where((ids >= 0) & (ids < n_types), ids, -1)
-        return [
-            i if (i is not None and i < n_types) else None for i in ids
-        ]
+        return np.where((ids >= 0) & (ids < n_types), ids, -1)
 
     def _lifecycle_state(self) -> Optional[dict]:
         """The checkpoint's ``lifecycle`` block (seed defaults here;
         :class:`~repro.lifecycle.healing.SelfHealingRun` overrides)."""
         return None
 
-    def _after_chunk(self, batch: Sequence[LogRecord]) -> None:
+    def _after_chunk(self, batch: RecordBatch) -> None:
         """Hook between feeding a chunk and checkpointing it (no-op)."""
 
     def _chunk_size(self) -> int:
@@ -272,19 +268,24 @@ class ResumableRun:
             obs_state=self._obs_state(),
         )
 
-    def feed_chunk(self, batch: Sequence[LogRecord], local=None) -> int:
+    def feed_chunk(
+        self, batch: Union[RecordBatch, Sequence[LogRecord]], local=None
+    ) -> int:
         """Classify and feed one pre-windowed chunk; returns records fed.
 
         This is the single feed step ``process`` loops over, exposed so
         an external scheduler (the fleet shard pump) can drive a run
         chunk by chunk from its own queue.  The caller owns windowing
         and the resume cursor; the run still applies its own checkpoint
-        cadence when ``checkpoint_every`` is set.  ``local`` is an
-        optional :class:`~repro.obs.LocalCounters` batching sink —
-        without one, counters go straight to the registry.
+        cadence when ``checkpoint_every`` is set.  A record list is
+        columnarized once.  ``local`` is an optional
+        :class:`~repro.obs.LocalCounters` batching sink — without one,
+        counters go straight to the registry.
         """
-        if not batch:
+        if not len(batch):
             return 0
+        if not isinstance(batch, RecordBatch):
+            batch = RecordBatch.from_records(batch)
         # causal trace: adopt the caller's context (the fleet shard
         # minted one at ingestion) or mint a per-chunk chain, so spans
         # and prediction provenance correlate either way
@@ -313,7 +314,7 @@ class ResumableRun:
             obs.counter("resilience.chunks_fed").inc()
             obs.counter("resilience.records_fed").inc(len(batch))
         if self.history is not None:
-            stream_now = batch[-1].timestamp
+            stream_now = float(batch.timestamps[-1])
             if self.history.due(stream_now):
                 # flush buffered counters first so the sample sees
                 # this chunk's increments
@@ -338,26 +339,24 @@ class ResumableRun:
         return len(batch)
 
     def process(
-        self, records: Sequence[LogRecord], limit: Optional[int] = None
+        self,
+        records: Union[RecordBatch, Sequence[LogRecord]],
+        limit: Optional[int] = None,
     ) -> int:
         """Feed window records beyond the resume cursor; returns it.
 
         ``records`` is the *full* stream (the run windows and skips
         already-consumed records itself, so callers re-read the same log
-        after a crash).  ``limit`` stops after that many records for this
-        call — the hook the kill-and-resume test uses to "crash" at a
-        chosen point; checkpoints land every ``checkpoint_every``
-        records regardless.
+        after a crash); a record list is columnarized once.  ``limit``
+        stops after that many records for this call — the hook the
+        kill-and-resume test uses to "crash" at a chosen point;
+        checkpoints land every ``checkpoint_every`` records regardless.
         """
-        if isinstance(records, RecordBatch):
-            ts = records.timestamps
-            mask = (ts >= self.t_start) & (ts < self.t_end)
-            window = records if bool(mask.all()) else records.take(mask)
-        else:
-            window = [
-                r for r in records
-                if self.t_start <= r.timestamp < self.t_end
-            ]
+        if not isinstance(records, RecordBatch):
+            records = RecordBatch.from_records(records)
+        ts = records.timestamps
+        mask = (ts >= self.t_start) & (ts < self.t_end)
+        window = records if bool(mask.all()) else records.take(mask)
         done = self.predictor.n_records_fed
         todo = window[done:]
         if limit is not None:
@@ -379,7 +378,9 @@ class ResumableRun:
         self._maybe_checkpoint()
         return predictions
 
-    def run(self, records: Sequence[LogRecord]) -> List[Prediction]:
+    def run(
+        self, records: Union[RecordBatch, Sequence[LogRecord]]
+    ) -> List[Prediction]:
         """Process everything and finish — the one-call entry point."""
         self.process(records)
         return self.finish()

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 @dataclass
 class ResilienceConfig:
-    """Configuration of :class:`repro.resilience.ResilientStream`.
+    """Configuration of :func:`repro.resilience.sanitize_batch`.
 
     ``skew_window_seconds`` bounds the reorder buffer: records arriving
     out of time order are held and re-sorted as long as they are no older
@@ -24,17 +24,17 @@ class ResilienceConfig:
     as clock anomalies (NTP step, daemon restart with a cold clock).
 
     ``max_rate_per_second`` is the backpressure budget; ``0`` disables
-    sampling.  Within each ``rate_window_seconds`` bucket the first
-    ``budget`` records pass untouched; beyond that only every
+    sampling.  Within each run of consecutive records in one
+    ``rate_window_seconds`` bucket the first ``budget`` records pass
+    untouched; beyond that only every
     ``overflow_stride``-th record is admitted — deterministic, so reruns
     are reproducible — except records at SEVERE or above, which always
     pass (losing failure evidence to load shedding would defeat the
     pipeline's purpose).
 
-    ``dead_letter_cap`` bounds the quarantine buffer; older entries are
-    evicted first.  ``strict`` turns every degradation that would drop
-    data (malformed line, late straggler) into a raised ``ValueError``
-    instead.
+    ``dead_letter_cap`` bounds the late records handed back as dead
+    letters; the newest are kept.  ``strict`` turns a late straggler
+    into a raised ``ValueError`` instead of a drop.
     """
 
     skew_window_seconds: float = 120.0

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, TextIO
 
-from repro.simulation.trace import LogRecord, Severity
+from repro.simulation.trace import LogRecord, Severity, parse_timestamp
 
 #: raw-log severity token → our ladder
 SEVERITY_MAP = {
@@ -63,7 +63,8 @@ def parse_bgl_line(line: str, lenient: bool = False) -> Optional[BGLLine]:
     """Parse one raw RAS line; returns ``None`` for blank lines.
 
     Raises ``ValueError`` on structurally malformed lines (fewer than the
-    nine fixed fields); with ``lenient=True`` malformed lines return
+    nine fixed fields, or an epoch that is not a finite number); with
+    ``lenient=True`` malformed lines return
     ``None`` instead — the same strict/lenient contract as
     :func:`repro.simulation.trace.read_log`.  Unknown severity tokens
     degrade to ``INFO`` rather than failing — real dumps contain a
@@ -79,7 +80,7 @@ def parse_bgl_line(line: str, lenient: bool = False) -> Optional[BGLLine]:
         raise ValueError(f"malformed BGL RAS line: {line[:80]!r}")
     alert, epoch_s, _date, node, _dt, _node2, _rtype, comp, sev_raw, msg = parts
     try:
-        epoch = float(epoch_s)
+        epoch = parse_timestamp(epoch_s)
     except ValueError as exc:
         if lenient:
             return None

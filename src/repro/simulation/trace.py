@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import io
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -162,14 +163,26 @@ def write_log(records: Iterable[LogRecord], fh: io.TextIOBase) -> int:
     return n
 
 
+def parse_timestamp(value) -> float:
+    """``float(value)``, rejecting ``inf`` and ``nan`` with ``ValueError``.
+
+    One non-finite timestamp poisons every later time comparison — an
+    ``inf`` makes everything after it late, a ``nan`` turns late
+    detection off — so every decoder treats it as malformed.
+    """
+    t = float(value)
+    if not math.isfinite(t):
+        raise ValueError(f"non-finite timestamp {value!r}")
+    return t
+
+
 def parse_log_line(line: str) -> Optional[LogRecord]:
     """Parse one text-format line written by :func:`write_log`.
 
     Returns ``None`` for blank lines; raises ``ValueError`` on malformed
-    ones.  This is the strict primitive — callers choose the lenient
-    policy (:func:`read_log` with ``lenient=True`` or
-    :class:`repro.resilience.ResilientStream`, which quarantines instead
-    of dropping).
+    ones, a non-finite timestamp included.  This is the strict
+    primitive — :func:`read_log` with ``lenient=True`` skips and counts
+    malformed lines instead.
     """
     line = line.rstrip("\n")
     if not line.strip():
@@ -177,7 +190,7 @@ def parse_log_line(line: str) -> Optional[LogRecord]:
     try:
         ts_s, loc, sev_s, msg = line.split(" ", 3)
         return LogRecord(
-            timestamp=float(ts_s),
+            timestamp=parse_timestamp(ts_s),
             location=loc,
             severity=Severity.parse(sev_s),
             message=msg,

@@ -1,15 +1,17 @@
-"""Columnar-vs-object equivalence: parse, sanitize, feed, recover.
+"""Columnar equivalence: parse, sanitize, feed, recover.
 
-The RecordBatch fast path is only allowed to be a *layout* change:
-every stage must emit byte-identical results to the object pipeline it
-replaces.  Parse and sanitize are proven by property — hypothesis
-drives malformed lines, skew-window reorder, exact duplicates and
-silent gaps into both implementations and demands equal output, stats
-and dead letters.  Feed, mid-stream checkpoint/resume, and the fleet's
-chaos-kill replay over batch payloads are proven end-to-end on the
-shared scenario.
+``RecordBatch`` is the only record shape below the entry points, so
+every stage must emit exactly what its record-at-a-time oracle does.
+Parse and sanitize are proven by property — hypothesis drives malformed
+and non-finite lines, skew-window reorder, exact duplicates, rate-limit
+bursts and silent gaps into the product and into ``parse_log_line`` /
+``tests/reference/sanitize.py``, and demands equal output, stats and
+dead letters; the lenient parser is also fuzzed on arbitrary text.
+Feed, mid-stream checkpoint/resume, and the fleet's chaos-kill replay
+over batch payloads are proven end-to-end on the shared scenario.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -17,16 +19,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.columnar import RecordBatch
 from repro.helo.batch import parse_lines_batch
 from repro.resilience.checkpoint import ResumableRun, load_checkpoint
-from repro.resilience.stream import (
-    ResilienceConfig,
-    ResilientStream,
-    sanitize_batch,
-    sanitize_records,
-)
+from repro.resilience.stream import ResilienceConfig, sanitize_batch
 from repro.simulation.trace import LogRecord, Severity, parse_log_line
+from tests.reference.engines import batch_predict
+from tests.reference.sanitize import sanitize_records
 
 
 def pred_json(predictions):
@@ -52,13 +52,17 @@ _MSG = st.lists(
     min_size=1, max_size=6,
 ).map(" ".join)
 
-#: things real ingest sees: blanks, truncated rows, junk timestamps,
-#: unknown severities — every one must be judged identically by the
-#: columnar tokenizer and ``parse_log_line``
+#: things real ingest sees: blanks, truncated rows, junk and non-finite
+#: timestamps, unknown severities — every one must be judged identically
+#: by the columnar tokenizer and ``parse_log_line``
 _MALFORMED = st.sampled_from([
     "",
     "   ",
     "notanumber R00-M0 INFO hi",
+    "inf R00-M0 INFO hi",
+    "-Infinity R00-M0 FAILURE hi",
+    "nan R00-M0 INFO hi",
+    "1e999 R00-M0 INFO hi",
     "1.5 R00-M0 NOTASEV hi",
     "1.5 R00-M0 INFO",
     "justoneword",
@@ -112,21 +116,49 @@ class TestParseEquivalence:
         )
 
 
-# -- sanitize: skew-window reorder, duplicates, gaps -------------------------
+class TestParseFuzz:
+    @given(st.lists(
+        st.one_of(
+            _valid_lines(),
+            _MALFORMED,
+            st.text(max_size=40),
+            st.builds(
+                "{} {} INFO {}".format,
+                st.text(max_size=12),
+                _LOCS,
+                _MSG,
+            ),
+        ),
+        max_size=30,
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_lenient_parse_never_raises_and_counts_every_line(self, lines):
+        obs.reset()
+        batch = parse_lines_batch(lines, lenient=True)
+        counted = obs.counter("ingest.malformed_lines").value
+        non_blank = sum(1 for line in lines if line.strip())
+        assert len(batch) + counted == non_blank
+        assert np.isfinite(batch.timestamps).all()
+        obs.reset()
+
+
+# -- sanitize: skew-window reorder, duplicates, bursts, gaps -----------------
 
 
 @st.composite
 def _hostile_streams(draw):
-    """Mostly-sorted streams with stragglers, duplicates and silences."""
+    """Mostly-sorted streams with stragglers, duplicates, bursts and
+    silences; half of them under a rate limit."""
     rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
     n = draw(st.integers(5, 120))
     skew = draw(st.sampled_from([30.0, 120.0]))
-    # inter-arrival spacing occasionally exceeds the gap threshold
-    steps = rng.exponential(20.0, n)
+    # inter-arrival spacing: bursts to quiet, occasionally past the gap
+    # threshold; streams may start before the epoch
+    steps = rng.exponential(draw(st.sampled_from([0.5, 20.0])), n)
     steps[rng.random(n) < 0.05] += draw(
         st.sampled_from([400.0, 1200.0])
     )
-    ts = 1000.0 + np.cumsum(steps)
+    ts = draw(st.sampled_from([-500.0, 1000.0])) + np.cumsum(steps)
     # skew-window reorder: pull some rows back, a few beyond the
     # window (late stragglers the stream must quarantine)
     jitter = rng.random(n)
@@ -149,13 +181,17 @@ def _hostile_streams(draw):
         skew_window_seconds=skew,
         gap_threshold_seconds=draw(st.sampled_from([300.0, 900.0])),
         clock_jump_seconds=draw(st.sampled_from([600.0, 3600.0])),
+        # fractional budgets included (0.25 × 10 s = 2.5 records)
+        max_rate_per_second=draw(st.sampled_from([0.0, 0.0, 0.25, 1.0])),
+        rate_window_seconds=draw(st.sampled_from([10.0, 7.5])),
+        overflow_stride=draw(st.sampled_from([1, 3, 10])),
     )
     return records, cfg
 
 
 class TestSanitizeEquivalence:
     @given(_hostile_streams())
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=80, deadline=None)
     def test_batch_matches_object_stream(self, case):
         records, cfg = case
         clean_obj, stream = sanitize_records(records, cfg)
@@ -184,12 +220,7 @@ class TestSanitizeEquivalence:
     @settings(max_examples=20, deadline=None)
     def test_strict_mode_raises_identically(self, case):
         records, cfg = case
-        strict = ResilienceConfig(
-            skew_window_seconds=cfg.skew_window_seconds,
-            gap_threshold_seconds=cfg.gap_threshold_seconds,
-            clock_jump_seconds=cfg.clock_jump_seconds,
-            strict=True,
-        )
+        strict = dataclasses.replace(cfg, strict=True)
         obj_err = col_err = None
         try:
             clean_obj, _ = sanitize_records(records, strict)
@@ -223,22 +254,19 @@ class TestFeedEquivalence:
     def test_batch_feed_equals_object_feed(
         self, fitted_elsa, small_scenario, _restore_state
     ):
-        """RecordBatch through feed ≡ record objects, byte for byte."""
+        """Record objects and a RecordBatch through ``ResumableRun``
+        both equal the whole-window batch oracle, byte for byte."""
         helo_state = fitted_elsa.online_state_dict()
-        test = small_scenario.test_records
-        batch = RecordBatch.from_records(test)
-
-        run = ResumableRun(
-            fitted_elsa, small_scenario.train_end, small_scenario.t_end
-        )
-        expect = run.run(test)
-        fitted_elsa.restore_online_state(helo_state)
-
-        run = ResumableRun(
-            fitted_elsa, small_scenario.train_end, small_scenario.t_end
-        )
-        got = run.run(batch)
-        assert pred_json(got) == pred_json(expect)
+        sc = small_scenario
+        stream = fitted_elsa.make_stream(sc.records, sc.train_end, sc.t_end)
+        expect, _ = batch_predict(fitted_elsa.hybrid_predictor(), stream)
+        assert expect
+        for records in (
+            sc.test_records, RecordBatch.from_records(sc.test_records)
+        ):
+            fitted_elsa.restore_online_state(helo_state)
+            run = ResumableRun(fitted_elsa, sc.train_end, sc.t_end)
+            assert pred_json(run.run(records)) == pred_json(expect)
 
     def test_mid_stream_checkpoint_resume_on_batches(
         self, fitted_elsa, small_scenario, _restore_state, tmp_path

@@ -9,10 +9,14 @@ behind the ``fleet_chaos`` marker.
 """
 
 import json
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
+from repro.columnar import RecordBatch
 from repro.fleet import (
     Fleet,
     FleetPolicy,
@@ -31,6 +35,7 @@ from repro.fleet.runner import MAX_TENANT_SLOS
 from repro.obs.history import MetricHistory
 from repro.resilience.checkpoint import ResumableRun
 from repro.simulation.trace import LogRecord, Severity
+from tests.reference.fleet import offer_records
 
 
 def pred_json(predictions):
@@ -49,6 +54,19 @@ def rec(t, location="R00-M0-N0-C:J00-U00", severity=Severity.INFO):
         timestamp=float(t), location=location, severity=severity,
         message="m",
     )
+
+
+def offer(shard, *records):
+    """``Shard.offer_batch`` over records; the non-zero verdicts."""
+    counts = shard.offer_batch(RecordBatch.from_records(list(records)))
+    return {v: c for v, c in counts.items() if c}
+
+
+def route(router, record):
+    """Route a one-record batch; returns its verdict."""
+    counts = router.route_batch(RecordBatch.from_records([record]))
+    (verdict,) = [v for v, c in counts.items() if c]
+    return verdict
 
 
 # ---------------------------------------------------------------------------
@@ -153,10 +171,16 @@ class TestShard:
         self, fitted_elsa, small_scenario, tmp_path
     ):
         shard = self._shard(fitted_elsa, small_scenario, tmp_path)
-        assert shard.offer(rec(0.0)) == "rejected"
-        assert shard.offer(rec(small_scenario.t_end)) == "rejected"
-        assert shard.offer(rec(small_scenario.train_end)) == "accepted"
+        assert offer(
+            shard,
+            rec(0.0),
+            rec(small_scenario.t_end),
+            rec(small_scenario.train_end),
+        ) == {"accepted": 1, "rejected": 2}
         assert shard.rejected == 2
+        assert [r.timestamp for r in shard.queue] == [
+            small_scenario.train_end
+        ]
 
     def test_overflow_sheds_by_stride_but_admits_severe(
         self, fitted_elsa, small_scenario, tmp_path
@@ -166,17 +190,19 @@ class TestShard:
             fitted_elsa, small_scenario, tmp_path, policy=policy
         )
         t0 = small_scenario.train_end
-        for i in range(4):
-            assert shard.offer(rec(t0 + i)) == "accepted"
-        verdicts = [shard.offer(rec(t0 + 10 + i)) for i in range(8)]
+        assert offer(shard, *[rec(t0 + i) for i in range(4)]) == {
+            "accepted": 4
+        }
         # every 4th overflow record is admitted, the rest shed
-        assert verdicts.count("accepted") == 2
-        assert verdicts.count("shed") == 6
+        assert offer(shard, *[rec(t0 + 10 + i) for i in range(8)]) == {
+            "accepted": 2, "shed": 6,
+        }
         assert shard.shed == 6
+        assert [r.timestamp for r in shard.queue][4:] == [t0 + 13, t0 + 17]
         # severe records always get through, even past the cap
-        assert shard.offer(
-            rec(t0 + 30, severity=Severity.FAILURE)
-        ) == "accepted"
+        assert offer(shard, rec(t0 + 30, severity=Severity.FAILURE)) == {
+            "accepted": 1
+        }
 
     def test_ack_clears_replay_buffer_on_checkpoint(
         self, fitted_elsa, small_scenario, tmp_path
@@ -186,14 +212,94 @@ class TestShard:
             fitted_elsa, small_scenario, tmp_path, policy=policy
         )
         test = small_scenario.test_records[:256]
-        for r in test:
-            shard.offer(r)
+        offer(shard, *test)
         shard.step()  # 64 fed, no checkpoint yet
         assert len(shard._unacked) == 64
         shard.step()  # 128 fed -> checkpoint -> ack
         assert len(shard._unacked) == 0
         assert shard.checkpoint_path.exists()
         assert shard.records_fed == 128
+
+
+@st.composite
+def _admission_cases(draw):
+    """Queue state, policy, and a few batches of in- and out-of-window
+    records of every severity."""
+    n = draw(st.integers(0, 40))
+    where = draw(st.lists(
+        st.sampled_from(["in", "in", "in", "before", "after"]),
+        min_size=n, max_size=n,
+    ))
+    sevs = draw(st.lists(
+        st.sampled_from(list(Severity)), min_size=n, max_size=n
+    ))
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=2)))
+    return {
+        "where": where,
+        "sevs": sevs,
+        "cuts": [0] + cuts + [n],
+        "queue_len": draw(st.integers(0, 12)),
+        "capacity": draw(st.integers(1, 10)),
+        "stride": draw(st.integers(1, 5)),
+        "overflow": draw(st.integers(0, 7)),
+    }
+
+
+@pytest.fixture(scope="module")
+def admission_shard(fitted_elsa, small_scenario):
+    import copy
+
+    return Shard(
+        "t0", copy.deepcopy(fitted_elsa),
+        small_scenario.train_end, small_scenario.t_end,
+        clock=ManualClock(),
+    )
+
+
+class TestOfferBatch:
+    @given(case=_admission_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_record_at_a_time_rule(self, admission_shard, case):
+        shard = admission_shard
+        t0, t1 = shard.t_start, shard.t_end
+        stamp = {"in": t0, "before": t0 - 1.0, "after": t1}
+        records = [
+            rec(stamp[w] + (i if w == "in" else 0), severity=sev)
+            for i, (w, sev) in enumerate(zip(case["where"], case["sevs"]))
+        ]
+        shard.policy = FleetPolicy(
+            queue_capacity=case["capacity"],
+            overflow_stride=case["stride"],
+        )
+        shard.queue.clear()
+        shard.queue.extend(
+            RecordBatch.from_records([rec(t0)] * case["queue_len"])
+        )
+        shard._overflow = case["overflow"]
+        shard.shed = shard.rejected = 0
+        shard.shed_by_severity = {}
+
+        verdicts, overflow = offer_records(
+            records, t0, t1, case["queue_len"], case["capacity"],
+            case["stride"], case["overflow"],
+        )
+        cuts = case["cuts"]
+        for a, b in zip(cuts, cuts[1:]):
+            got = shard.offer_batch(RecordBatch.from_records(records[a:b]))
+            want = Counter(verdicts[a:b])
+            assert got == {v: want[v] for v in got}
+        accepted = [r for r, v in zip(records, verdicts) if v == "accepted"]
+        assert list(shard.queue)[case["queue_len"]:] == accepted
+        assert shard._overflow == overflow
+        shed = [r for r, v in zip(records, verdicts) if v == "shed"]
+        assert shard.shed == len(shed)
+        assert shard.shed_by_severity == dict(
+            Counter(r.severity.name for r in shed)
+        )
+        assert list(shard.shed_by_severity) == list(
+            dict.fromkeys(r.severity.name for r in shed)
+        )
+        assert shard.rejected == verdicts.count("rejected")
 
 
 # ---------------------------------------------------------------------------
@@ -215,10 +321,10 @@ class TestRouter:
         )
         router = IngestionRouter({"R00": shard}, key, policy)
         t0 = small_scenario.train_end
-        assert router.route(rec(t0, location="R00-M0-N0")) == "accepted"
-        assert router.route(rec(t0, location="R99-M0-N0")) == "dead-letter"
+        assert route(router, rec(t0, location="R00-M0-N0")) == "accepted"
+        assert route(router, rec(t0, location="R99-M0-N0")) == "dead-letter"
         shard.state = ShardState.QUARANTINED
-        assert router.route(rec(t0, location="R00-M0-N1")) == "dead-letter"
+        assert route(router, rec(t0, location="R00-M0-N1")) == "dead-letter"
         assert router.stats["dead_lettered"] == 2
         assert len(router.dead_letter) == 2
         reasons = {reason for reason, _, _ in router.dead_letter}
@@ -238,8 +344,9 @@ class TestRouter:
         router = IngestionRouter(
             {"R00": shard}, rack_subtree_key(1), policy
         )
-        for i in range(50):
-            router.route(rec(small_scenario.train_end, location="R9-M"))
+        router.route_batch(RecordBatch.from_records(
+            [rec(small_scenario.train_end, location="R9-M")] * 50
+        ))
         assert len(router.dead_letter) == 10
         assert router.stats["dead_lettered"] == 50
 

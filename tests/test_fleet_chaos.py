@@ -21,6 +21,7 @@ import json
 import pytest
 
 from repro import obs
+from repro.columnar import RecordBatch
 from repro.fleet import (
     Fleet,
     FleetPolicy,
@@ -229,8 +230,7 @@ class TestSupervisionPolicy:
         )
         victim = tenants[1]
         fleet.shards[victim].inject_poison()
-        for r in test:
-            fleet.route(r)
+        fleet.route_batch(RecordBatch.from_records(test))
         fleet.drain()
         assert fleet.shards[victim].state is ShardState.QUARANTINED
         with pytest.raises(ValueError):

@@ -5,7 +5,9 @@ overload soak, mid-stream server restart) lives in
 ``test_ingest_chaos.py`` behind the ``ingest_chaos`` marker; these are
 the deterministic unit and in-process integration pieces:
 
-* NDJSON codec — full-precision round trip, strict rejection;
+* NDJSON codec — full-precision round trip, strict rejection (non-finite
+  timestamps and out-of-range numbers included), and a fuzz property:
+  ``decode_batch`` raises nothing but ``ValueError``;
 * :class:`IngestLedger` — apply/duplicate/gap semantics, persistence;
 * :class:`AdmissionController` — headroom-scaled token bucket;
 * :class:`IngestAPI` — the HTTP status contract (200-duplicate, 404,
@@ -23,9 +25,13 @@ import socket
 import threading
 import time
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
+from repro.columnar import RecordBatch
 from repro.fleet import (
     AdmissionController,
     Fleet,
@@ -37,7 +43,7 @@ from repro.fleet import (
     ShardState,
     hashed_tenant_key,
 )
-from repro.fleet.ingest import decode_records, encode_records, ingest_slos
+from repro.fleet.ingest import decode_batch, encode_records, ingest_slos
 from repro.obs.live import TelemetryServer
 from repro.simulation.trace import LogRecord, Severity
 
@@ -61,6 +67,18 @@ def rec(t, location="R00-M0-N0-C:J00-U00", severity=Severity.INFO,
 # NDJSON codec
 # ---------------------------------------------------------------------------
 
+def decode(body, max_records=None):
+    return decode_batch(body, max_records=max_records).to_records()
+
+
+def row(**fields):
+    """One NDJSON line; values are JSON source text."""
+    base = {"t": "1", "loc": '"a"', "sev": "0", "msg": '"x"'}
+    base.update(fields)
+    inner = ", ".join(f'"{k}": {v}' for k, v in base.items())
+    return ("{" + inner + "}\n").encode()
+
+
 class TestCodec:
     def test_roundtrip_preserves_full_float_precision(self):
         records = [
@@ -68,7 +86,7 @@ class TestCodec:
                 fault_id=3),
             rec(2.0, severity=Severity.FAILURE),
         ]
-        out = decode_records(encode_records(records))
+        out = decode(encode_records(records))
         assert out == records
         # the %.3f text-log format would have destroyed this timestamp;
         # the wire must not (byte-identity depends on it)
@@ -76,31 +94,94 @@ class TestCodec:
 
     def test_empty_input(self):
         assert encode_records([]) == b""
-        assert decode_records(b"") == []
-        assert decode_records(b"\n  \n") == []
+        assert decode(b"") == []
+        assert decode(b"\n  \n") == []
 
     def test_bad_json_line_rejects_the_whole_batch(self):
         body = encode_records([rec(1.0)]) + b"{not json\n"
         with pytest.raises(ValueError, match="line 2"):
-            decode_records(body)
+            decode(body)
 
     def test_unknown_fields_rejected(self):
         with pytest.raises(ValueError, match="unknown fields"):
-            decode_records(b'{"t": 1, "loc": "a", "sev": 0, "msg": "x", '
-                           b'"evil": 1}\n')
+            decode(b'{"t": 1, "loc": "a", "sev": 0, "msg": "x", '
+                   b'"evil": 1}\n')
 
     def test_non_object_line_rejected(self):
         with pytest.raises(ValueError, match="expected an object"):
-            decode_records(b"[1, 2, 3]\n")
+            decode(b"[1, 2, 3]\n")
 
     def test_missing_field_rejected(self):
         with pytest.raises(ValueError, match="line 1"):
-            decode_records(b'{"t": 1, "loc": "a"}\n')
+            decode(b'{"t": 1, "loc": "a"}\n')
 
     def test_batch_cap_enforced(self):
         body = encode_records([rec(float(i)) for i in range(4)])
         with pytest.raises(ValueError, match="exceeds 2 records"):
-            decode_records(body, max_records=2)
+            decode(body, max_records=2)
+
+    @pytest.mark.parametrize("t", [
+        "Infinity", "-Infinity", "NaN", "1e400", '"inf"', '"nan"',
+    ])
+    def test_non_finite_timestamp_rejected(self, t):
+        with pytest.raises(ValueError, match="line 2: non-finite"):
+            decode(row() + row(t=t))
+
+    @pytest.mark.parametrize("field", [
+        {"sev": "1e400"},
+        {"et": "1e400"},
+        {"fid": "-1e400"},
+        {"t": "1" + "0" * 400},
+    ])
+    def test_out_of_range_numbers_rejected(self, field):
+        with pytest.raises(ValueError, match="line 1"):
+            decode(row(**field))
+
+    def test_deep_nesting_rejected(self):
+        with pytest.raises(ValueError, match="bad JSON"):
+            decode(b"[" * 100_000 + b"]" * 100_000 + b"\n")
+
+
+_NUMBERS = st.one_of(
+    st.integers(), st.floats(), st.sampled_from([10**400, -10**400]),
+)
+
+
+@st.composite
+def _ndjson_rows(draw):
+    """One record-shaped line: any field may be hostile or missing."""
+    row = {
+        "t": draw(st.one_of(_NUMBERS, st.text(max_size=6))),
+        "loc": draw(st.one_of(st.text(max_size=8), _NUMBERS)),
+        "sev": draw(st.one_of(st.integers(0, 3), _NUMBERS, st.booleans())),
+        "msg": draw(st.one_of(st.text(max_size=10), st.none())),
+    }
+    for key in ("et", "fid"):
+        if draw(st.booleans()):
+            row[key] = draw(st.one_of(st.none(), _NUMBERS))
+    if draw(st.integers(0, 9)) == 0:
+        del row[draw(st.sampled_from(sorted(row)))]
+    return json.dumps(row)
+
+
+@st.composite
+def _ndjson_bodies(draw):
+    """Bodies of mostly record-shaped lines plus arbitrary text."""
+    lines = draw(st.lists(
+        st.one_of(_ndjson_rows(), st.text(max_size=30)), max_size=6
+    ))
+    return "\n".join(lines).encode("utf-8", "surrogatepass")
+
+
+class TestDecodeFuzz:
+    @given(st.one_of(_ndjson_bodies(), st.binary(max_size=120)))
+    @settings(max_examples=300, deadline=None)
+    def test_decode_raises_only_value_error(self, body):
+        try:
+            batch = decode_batch(body)
+        except ValueError:
+            return
+        assert np.isfinite(batch.timestamps).all()
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +378,30 @@ class TestIngestAPI:
         assert code == 400 and payload["error"] == "empty batch"
         reg = obs.get_registry()
         assert reg.get("ingest.malformed_batches").value == 1.0
+
+    def test_non_finite_and_out_of_range_batches_400(
+        self, fitted_elsa, small_scenario, tmp_path
+    ):
+        api, fleet, tenants, _ = build_api(
+            fitted_elsa, small_scenario, tmp_path
+        )
+        t = small_scenario.train_end
+        bodies = [
+            row(t=str(t)) + row(t="NaN"),
+            row(t=str(t)) + row(t="Infinity"),
+            row(t=str(t), sev="1e400"),
+            row(t=str(t), et="1e400"),
+            row(t=str(t), fid="-1e400"),
+        ]
+        for body in bodies:
+            code, payload, _ = api.handle_request(
+                "POST", f"/ingest/{tenants[0]}", {}, body
+            )
+            assert code == 400, payload
+        reg = obs.get_registry()
+        assert reg.get("ingest.malformed_batches").value == len(bodies)
+        # nothing entered the fleet
+        assert fleet.router.stats["routed"] == 0
 
     def test_oversized_batch_413(
         self, fitted_elsa, small_scenario, tmp_path
@@ -525,6 +630,13 @@ class TestIngestAPI:
 # severity-aware shedding accounting (satellite)
 # ---------------------------------------------------------------------------
 
+def route_one(fleet, record):
+    """Route a one-record batch; returns its verdict."""
+    counts = fleet.route_batch(RecordBatch.from_records([record]))
+    (verdict,) = [v for v, c in counts.items() if c]
+    return verdict
+
+
 class TestSeverityShedding:
     def test_mixed_severity_burst_sheds_only_non_severe(
         self, fitted_elsa, small_scenario, tmp_path
@@ -544,7 +656,7 @@ class TestSeverityShedding:
         t0 = small_scenario.train_end
         shard = fleet.shards[tenant]
         for i in range(16):
-            assert fleet.route(rec(t0 + i, location=loc)) == "accepted"
+            assert route_one(fleet, rec(t0 + i, location=loc)) == "accepted"
         assert shard.free_slots() == 0
 
         verdicts = {"accepted": 0, "shed": 0}
@@ -552,8 +664,8 @@ class TestSeverityShedding:
         burst = [Severity.INFO, Severity.WARNING, Severity.SEVERE,
                  Severity.FAILURE] * 8
         for i, sev in enumerate(burst):
-            v = fleet.route(
-                rec(t0 + 100 + i, location=loc, severity=sev)
+            v = route_one(
+                fleet, rec(t0 + 100 + i, location=loc, severity=sev)
             )
             verdicts[v] += 1
             if v == "shed":
