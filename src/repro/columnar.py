@@ -27,9 +27,21 @@ import numpy as np
 
 from repro.simulation.trace import LogRecord, Severity
 
-__all__ = ["RecordBatch"]
+__all__ = ["RecordBatch", "event_id_array"]
 
 _NO_SIDE = None
+
+
+def event_id_array(ids: Sequence[Optional[int]]) -> np.ndarray:
+    """Event-type ids as an int64 array, ``None`` → ``-1``.
+
+    An integer array passes through without a copy.
+    """
+    if isinstance(ids, np.ndarray):
+        return ids.astype(np.int64, copy=False)
+    return np.fromiter(
+        (-1 if e is None else e for e in ids), dtype=np.int64, count=len(ids)
+    )
 
 
 class RecordBatch:
