@@ -256,6 +256,56 @@ class TestResilienceFlags:
         assert rc == 0
         assert json.loads(out2.read_text()) == json.loads(preds.read_text())
 
+    def test_rejected_checkpoint_is_one_error_line(
+        self, workdir, tmp_path, capsys
+    ):
+        """``predict --resume-from`` and ``serve --resume`` report a
+        checkpoint they cannot resume from as one ``error:`` line and
+        exit 1, as a malformed log does."""
+        d, log, truth, model, preds, meta = workdir
+        ckpt = tmp_path / "ck.json"
+        rc = main([
+            "predict", "--model", str(model), "--log", str(log),
+            "--t-start", str(meta["train_end"]),
+            "--out", str(tmp_path / "first.json"),
+            "--checkpoint", str(ckpt), "--quiet",
+        ])
+        assert rc == 0
+        data = json.loads(ckpt.read_text())
+        dets = data["predictor"]["detectors"]
+        dets.pop(sorted(dets)[0])
+        tampered = tmp_path / "tampered.json"
+        tampered.write_text(json.dumps(data))
+        wrong_kind = tmp_path / "other.json"
+        wrong_kind.write_text(json.dumps({"kind": "something-else"}))
+        capsys.readouterr()
+        for bad, extra in (
+            (wrong_kind, []),
+            (tampered, []),
+            (tampered, ["--self-heal"]),
+        ):
+            rc = main([
+                "predict", "--model", str(model), "--log", str(log),
+                "--t-start", str(meta["train_end"]),
+                "--out", str(tmp_path / "resumed.json"),
+                "--resume-from", str(bad), "--quiet", *extra,
+            ])
+            assert rc == 1
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and err[0].startswith("error:")
+
+        ckpt_dir = tmp_path / "serve"
+        ckpt_dir.mkdir()
+        (ckpt_dir / "t0.ckpt.json").write_text(wrong_kind.read_text())
+        rc = main([
+            "serve", "--days", "0.8", "--seed", "1", "--tenants", "1",
+            "--checkpoint-dir", str(ckpt_dir), "--resume",
+            "--max-runtime", "1", "--quiet",
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
 
 class TestLiveTelemetryFlags:
     """--listen/--truth/--provenance-out plus monitor and explain."""

@@ -163,6 +163,30 @@ class TestKillAndResume:
             )
             with pytest.raises(ValueError, match="mismatch"):
                 other.load_state(state["predictor"])
+
+            # a detectors block that does not match the model's anchors,
+            # or that the bank cannot hold, is rejected before any state
+            # of the target engine changes
+            pstate = state["predictor"]
+            dets = pstate["detectors"]
+            anchors = sorted(dets, key=int)
+            medians = [t for t in anchors if dets[t]["kind"] == "median"]
+            assert len(anchors) >= 2 and medians
+            missing = {t: d for t, d in dets.items() if t != anchors[0]}
+            foreign = dict(dets)
+            foreign[str(max(map(int, anchors)) + 1)] = dets[anchors[0]]
+            off_by_one = json.loads(json.dumps(dets))
+            off_by_one[medians[0]]["seen"] += 1
+            same = fitted_elsa.streaming_predictor(
+                small_scenario.train_end, small_scenario.t_end
+            )
+            fresh = json.dumps(same.state_dict())
+            for block in (missing, foreign, off_by_one):
+                with pytest.raises(
+                    ValueError, match="checkpoint mismatch: detectors"
+                ):
+                    same.load_state(dict(pstate, detectors=block))
+                assert json.dumps(same.state_dict()) == fresh
         finally:
             fitted_elsa.restore_online_state(helo_state)
 
