@@ -40,8 +40,10 @@ State compatibility
 :meth:`from_states` accepts the same — so checkpoints written by either
 implementation resume on the other, and ``swap_model`` keeps working.
 Construction raises :class:`BankLayoutError` when the detectors cannot
-share a layout (mixed windows, desynchronized tick counts); callers
-fall back to the scalar loop.
+share a layout (an unknown detector class, mixed windows,
+desynchronized tick counts); the streaming engine has no other detector
+store, so it rejects such a model at construction and such a
+checkpoint at load.
 """
 
 from __future__ import annotations
@@ -210,110 +212,14 @@ class VectorizedDetectorBank:
         """Consume one sample per anchor; ``(is_outlier, corrected)``.
 
         ``values`` is one float per detector in construction order; the
-        returned boolean/float arrays use the same order.
+        returned boolean/float arrays use the same order.  One column of
+        :meth:`tick_many`.
         """
         values = np.asarray(values, dtype=np.float64)
         if values.shape != (self.n,):
             raise ValueError(f"expected {self.n} values, got {values.shape}")
-        flags = np.zeros(self.n, dtype=bool)
-        corrected = np.zeros(self.n, dtype=np.float64)
-        if self._nm:
-            f, c = self._tick_median(values[self._med_ix_arr])
-            flags[self._med_ix_arr] = f
-            corrected[self._med_ix_arr] = c
-        if self._np:
-            f, c = self._tick_periodic(values[self._per_ix_arr])
-            flags[self._per_ix_arr] = f
-            corrected[self._per_ix_arr] = c
-        return flags, corrected
-
-    def _tick_median(
-        self, v: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        flags = np.zeros(self._nm, dtype=bool)
-        corrected = np.zeros(self._nm, dtype=np.float64)
-        act = self._med_act
-        if act.size:
-            bad = ~self._on_grid(v[act])
-            if bad.any():
-                for row in act[bad]:
-                    self._demote(int(row))
-                act = self._med_act
-        W = self.window
-        if act.size:
-            va = v[act]
-            qa = va.astype(np.int64)
-            hist = self._hist
-            # push raw (evict the oldest when the ring is full)
-            if self._raw_len > W:
-                old = self._raw_ring[act, self._raw_start]
-                hist[act, old.astype(np.int64)] -= 1
-                slot = self._raw_start
-            else:
-                slot = (self._raw_start + self._raw_len) % (W + 1)
-            self._raw_ring[act, slot] = va
-            hist[act, qa] += 1
-            n_raw = min(self._raw_len + 1, W + 1)
-            # exact median: (k+1)-th smallest of the combined window,
-            # which is always odd-sized (see module docstring)
-            n = n_raw + self._corr_len
-            k = n >> 1
-            cum = hist[act].cumsum(axis=1)
-            med = np.argmax(cum > k, axis=1).astype(np.float64)
-            fl = (self._seen >= self.warmup) & (np.abs(va - med) > self._thr[act])
-            co = np.where(fl, med, va)
-            # push corrected (median of an on-grid window is on-grid)
-            if self._corr_len >= W:
-                old = self._corr_ring[act, self._corr_start]
-                hist[act, old.astype(np.int64)] -= 1
-                cslot = self._corr_start
-            else:
-                cslot = (self._corr_start + self._corr_len) % W
-            self._corr_ring[act, cslot] = co
-            hist[act, co.astype(np.int64)] += 1
-            flags[act] = fl
-            corrected[act] = co
-        for row, det in self._demoted.items():
-            out, co = det.process(float(v[row]))
-            flags[row] = out
-            corrected[row] = co
-        # advance the shared ring cursors/counters once per tick
-        if self._raw_len > W:
-            self._raw_start = (self._raw_start + 1) % (W + 1)
-        else:
-            self._raw_len += 1
-        if self._corr_len >= W:
-            self._corr_start = (self._corr_start + 1) % W
-        else:
-            self._corr_len += 1
-        self._seen += 1
-        return flags, corrected
-
-    def _tick_periodic(
-        self, v: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        self._per_k += 1
-        k = self._per_k
-        beat = v > 0
-        burst = beat & (v > self._burst_factor * self._amplitude)
-        corrected = np.where(
-            beat, np.where(burst, self._amplitude, v), 0.0
-        )
-        silent = ~beat
-        gap_hit = (
-            silent
-            & (self._last_beat >= 0)
-            & ~self._gap_reported
-            & ((k - self._last_beat) > self._gap_factor * self._period)
-        )
-        corrected = np.where(gap_hit, self._amplitude, corrected)
-        self._gap_reported = np.where(
-            beat, False, self._gap_reported | gap_hit
-        )
-        self._last_beat = np.where(beat, k, self._last_beat)
-        return burst | gap_hit, corrected
-
-    # -- the multi-tick ------------------------------------------------------
+        flags, corrected = self.tick_many(values[:, None])
+        return flags[:, 0], corrected[:, 0]
 
     #: ticks per internal batch; bounds the transient histogram tensors
     #: at ``n_median * TICK_BLOCK * grid`` elements
@@ -327,7 +233,8 @@ class VectorizedDetectorBank:
         ``values`` is ``(n, m)`` in construction order; returns
         ``(flags, corrected)`` of the same shape.  Outputs and the final
         bank state — rings, histograms, cursors, demotions — are
-        identical to ``m`` sequential :meth:`tick` calls.
+        identical to stepping each scalar detector ``m`` times, and so
+        to ``m`` single-column calls, whatever the split.
 
         The median group is evaluated *optimistically*: corrections are
         rare, so the whole block is first computed as if every corrected
@@ -371,7 +278,7 @@ class VectorizedDetectorBank:
             if bad.any():
                 # an off-grid value anywhere in the block demotes the row
                 # for the whole block; the scalar replay is exact, so the
-                # outcome matches tick()'s demote-on-arrival
+                # outcome matches demoting it on the value's arrival
                 for row in act[bad]:
                     self._demote(int(row))
                 act = self._med_act
@@ -577,8 +484,8 @@ class VectorizedDetectorBank:
         med = np.argmax(C > k[None, :, None], axis=2).astype(np.float64)
         fl = warm[None, :] & (np.abs(va - med) > thr)
         # patch each flagged row exactly from its first correction
-        # on: the optimistic pass pushed the raw value where tick()
-        # would have pushed the median, so replacing that one element
+        # on: the optimistic pass pushed the raw value where the scalar
+        # detector pushes the median, so replacing that one element
         # shifts the cumulative counts by +-1 between the two bins —
         # from tick j+1 (the push) until tick j+W+1 (its eviction)
         for r in np.flatnonzero(fl.any(axis=1)).tolist():
@@ -714,10 +621,6 @@ class VectorizedDetectorBank:
                 "k": self._per_k,
             }
         return out  # type: ignore[return-value]
-
-    def detectors(self) -> List[Detector]:
-        """Materialize equivalent scalar detectors (for fallback paths)."""
-        return [restore_detector(s) for s in self.state_dicts()]
 
     @classmethod
     def from_states(

@@ -5,19 +5,96 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.prediction.engine import Prediction
+from repro.prediction.streaming import StreamingHybridPredictor
+from repro.signals.outliers import restore_detector
+
+
+class ScalarEngine(StreamingHybridPredictor):
+    """The online engine with one scalar detector per anchor.
+
+    Fed record by record through :func:`feed_scalar`, it closes samples
+    one at a time in :meth:`close_sample`, each anchor's detector in its
+    own ``signals`` error boundary; the detector bank is never used.
+    :meth:`state_dict` writes the same per-anchor detector states the
+    bank does, so checkpoints cross between the two engines.
+    """
+
+    def _set_anchors(self) -> None:
+        super()._set_anchors()
+        self._bank = None
+        self._detectors = {t: self._make_detector(t) for t in self._anchors}
+
+    def close_sample(self) -> None:
+        """Seal sample ``self._k``: detect outliers, trigger chains."""
+        s = self._k
+        counts = self._cur_anchor_counts
+        if self.ladder is not None:
+            # one rung step per closed sample, following the breakers
+            self.ladder.update(self.breakers.tripped())
+        flagged: Dict[int, bool] = {}
+        for tid in self._anchors:
+            value = float(counts.get(tid, 0))
+            result = self.breakers.guarded(
+                "signals", lambda: self._detectors[tid].process(value)
+            )
+            if result is None:
+                if self._skip_anchor(tid, value):
+                    flagged[tid] = True
+            elif result[0]:
+                flagged[tid] = True
+        n_before = len(self._predictions)
+        if flagged:
+            self._trigger_chains(
+                s, flagged, counts, self._cur_anchor_locs,
+                self.analysis_model.time_for(self._cur_msg_count),
+            )
+        if self.drift_detector is not None:
+            self.drift_detector.observe(
+                self._cur_msg_count, self._cur_type_counts
+            )
+        if self.scoreboard is not None:
+            for pred in self._predictions[n_before:]:
+                self.scoreboard.record_prediction(pred)
+            self.scoreboard.advance(
+                self.t_start + (s + 1) * self.sampling_period
+            )
+        self._k += 1
+        self._cur_msg_count = 0
+        self._cur_anchor_counts = {}
+        self._cur_anchor_locs = {}
+        self._cur_type_counts = {}
+
+    def finish(self) -> List[Prediction]:
+        while self._k < self.n_samples:
+            self.close_sample()
+        return super().finish()
+
+    def state_dict(self) -> dict:
+        state = super().state_dict()
+        state["detectors"] = {
+            str(t): d.state_dict() for t, d in self._detectors.items()
+        }
+        return state
+
+    def load_state(self, state: dict) -> None:
+        super().load_state(state)
+        self._bank = None
+        self._detectors = {
+            int(t): restore_detector(d) for t, d in state["detectors"].items()
+        }
 
 
 def scalar_engine(elsa, t_start: float, t_end: float, state=None):
-    """A streaming predictor that steps one scalar detector per anchor.
+    """A :class:`ScalarEngine` over ``elsa``'s model and stream window.
 
-    ``state`` (a ``state_dict``) restores a mid-stream snapshot first.
-    Dropping the bank leaves ``_close_sample`` on the per-anchor
-    detectors, whose state the bank never touches.
+    ``state`` (a ``state_dict`` of either engine) restores a mid-stream
+    snapshot first.
     """
-    predictor = elsa.streaming_predictor(t_start, t_end)
+    predictor = ScalarEngine.from_predictor(
+        elsa.hybrid_predictor(), t_start, t_end, elsa.config.sampling_period
+    )
     if state is not None:
         predictor.load_state(state)
-    predictor._bank = None
     return predictor
 
 
@@ -26,7 +103,7 @@ def feed_scalar(
     records: Sequence,
     event_ids: Sequence[Optional[int]],
 ) -> None:
-    """Record-at-a-time feed loop over a streaming predictor's state."""
+    """Record-at-a-time feed loop over a :class:`ScalarEngine`."""
     for rec, tid in zip(records, event_ids):
         if not predictor.t_start <= rec.timestamp < predictor.t_end:
             raise ValueError(
@@ -38,7 +115,7 @@ def feed_scalar(
         if s < predictor._k:
             raise ValueError("records must arrive in sample order")
         while predictor._k < s:
-            predictor._close_sample()
+            predictor.close_sample()
         predictor._cur_msg_count += 1
         if tid is not None and tid in predictor._detectors:
             predictor._cur_anchor_counts[tid] = (
