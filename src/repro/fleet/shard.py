@@ -167,23 +167,26 @@ class Shard:
             "batch_size": self.policy.chunk_records,
         }
 
+    def _resume_run(self, ckpt: dict) -> ResumableRun:
+        """The shard's run, rebuilt from a loaded checkpoint."""
+        if self.self_heal:
+            from repro.lifecycle.healing import SelfHealingRun
+
+            return self._silence(SelfHealingRun.resume(
+                self.elsa, ckpt, faults=self.faults,
+                store_dir=self.store_dir, **self._run_kwargs(),
+            ))
+        return self._silence(ResumableRun.resume(
+            self.elsa, ckpt, **self._run_kwargs(),
+        ))
+
     def _build_run(self) -> ResumableRun:
         if (
             self.resume_existing
             and self.checkpoint_path is not None
             and self.checkpoint_path.exists()
         ):
-            ckpt = load_checkpoint(self.checkpoint_path)
-            if self.self_heal:
-                from repro.lifecycle.healing import SelfHealingRun
-
-                return self._silence(SelfHealingRun.resume(
-                    self.elsa, ckpt, faults=self.faults,
-                    store_dir=self.store_dir, **self._run_kwargs(),
-                ))
-            return self._silence(ResumableRun.resume(
-                self.elsa, ckpt, **self._run_kwargs(),
-            ))
+            return self._resume_run(load_checkpoint(self.checkpoint_path))
         if self.self_heal:
             from repro.lifecycle.healing import SelfHealingRun
 
@@ -351,19 +354,7 @@ class Shard:
             self.checkpoint_path is not None and self.checkpoint_path.exists()
         )
         if have_ckpt:
-            ckpt = load_checkpoint(self.checkpoint_path)
-            if self.self_heal:
-                from repro.lifecycle.healing import SelfHealingRun
-
-                run = SelfHealingRun.resume(
-                    self.elsa, ckpt, faults=self.faults,
-                    store_dir=self.store_dir, **self._run_kwargs(),
-                )
-            else:
-                run = ResumableRun.resume(
-                    self.elsa, ckpt, **self._run_kwargs(),
-                )
-            self._silence(run)
+            run = self._resume_run(load_checkpoint(self.checkpoint_path))
             # defensive: skip any replay prefix the cursor already covers
             acked = self.records_fed - len(replay)
             skip = max(0, run.predictor.n_records_fed - acked)
