@@ -7,8 +7,10 @@ and non-finite lines, skew-window reorder, exact duplicates, rate-limit
 bursts and silent gaps into the product and into ``parse_log_line`` /
 ``tests/reference/sanitize.py``, and demands equal output, stats and
 dead letters; the lenient parser is also fuzzed on arbitrary text.
-Feed, mid-stream checkpoint/resume, and the fleet's chaos-kill replay
-over batch payloads are proven end-to-end on the shared scenario.
+The batch classifier is proven the same way against the linear-scan
+``observe_linear``, ids and final matcher state both.  Feed,
+mid-stream checkpoint/resume, and the fleet's chaos-kill replay over
+batch payloads are proven end-to-end on the shared scenario.
 """
 
 import dataclasses
@@ -22,10 +24,13 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.columnar import RecordBatch
 from repro.helo.batch import parse_lines_batch
+from repro.helo.online import OnlineHELO
+from repro.helo.template import MinedTemplate, TemplateTable
 from repro.resilience.checkpoint import ResumableRun, load_checkpoint
 from repro.resilience.stream import ResilienceConfig, sanitize_batch
 from repro.simulation.trace import LogRecord, Severity, parse_log_line
 from tests.reference.engines import batch_predict
+from tests.reference.matching import observe_linear
 from tests.reference.sanitize import sanitize_records
 
 
@@ -237,6 +242,84 @@ class TestSanitizeEquivalence:
             assert [rec_tuple(r) for r in clean_col.to_records()] == (
                 [rec_tuple(r) for r in clean_obj]
             )
+
+
+# -- classify: raw token lists == the linear scan over the message -----------
+
+#: normalized template constants -> raw tokens that normalize to them
+#: (mixed case, ``key:value`` and ``key=value`` fields); ``None`` lists
+#: the raw tokens that normalize to a wildcard (numbers, hex, paths)
+_RAW_FORMS = {
+    "ciod": ["ciod", "CIOD", "Ciod"],
+    "error": ["error", "Error"],
+    "cache": ["cache", "CACHE"],
+    "parity": ["parity"],
+    "1:136": ["1:136"],
+    "lr:*": ["lr:0x5e3a91", "LR:42", "lr:7.5"],
+    "pc=*": ["pc=12", "PC=0xff"],
+    None: ["42", "-3.5", "0x1f", "dead1", "/var/log/x", "BEEF2"],
+}
+_CONSTS = sorted(k for k in _RAW_FORMS if k is not None)
+_ANY_RAW = st.sampled_from(sorted(t for ts in _RAW_FORMS.values() for t in ts))
+
+
+@st.composite
+def _classify_cases(draw):
+    """A table of up to 40 templates and raw token lists to classify.
+
+    Token lists render a template (a hit), render one with a position
+    replaced (a near miss, which generalizes that template), or are
+    novel and repeated up to three times in a row (evidence that mints
+    a new template in the middle of the batch).
+    """
+    table = TemplateTable()
+    for _ in range(draw(st.integers(1, 40))):
+        tokens = [
+            draw(st.sampled_from(_CONSTS)) if draw(st.booleans()) else None
+            for _ in range(draw(st.integers(1, 8)))
+        ]
+        if all(t is None for t in tokens):
+            tokens[0] = draw(st.sampled_from(_CONSTS))
+        table.add(MinedTemplate(tokens=tuple(tokens), support=1))
+    token_lists = []
+    for _ in range(draw(st.integers(1, 60))):
+        kind = draw(st.sampled_from(["hit", "near", "novel"]))
+        if kind == "novel":
+            toks = [draw(_ANY_RAW) for _ in range(draw(st.integers(0, 8)))]
+            token_lists.extend([toks] * draw(st.integers(1, 3)))
+            continue
+        tpl = table[draw(st.integers(0, len(table) - 1))]
+        toks = [
+            draw(_ANY_RAW) if c is None else draw(st.sampled_from(_RAW_FORMS[c]))
+            for c in tpl.tokens
+        ]
+        if kind == "near":
+            toks[draw(st.integers(0, len(toks) - 1))] = draw(_ANY_RAW)
+        token_lists.append(toks)
+    return table, token_lists
+
+
+class TestClassifyEquivalence:
+    @given(_classify_cases(), st.integers(1, 64))
+    @settings(max_examples=150, deadline=None)
+    def test_batch_classifier_matches_linear_observe(self, case, chunk):
+        """``observe_tokens_batch`` gives the ids and leaves the state
+        that ``observe_linear`` over the joined messages does."""
+        table, token_lists = case
+        batch_helo = OnlineHELO(table=TemplateTable.from_dict(table.to_dict()))
+        linear_helo = OnlineHELO(table=TemplateTable.from_dict(table.to_dict()))
+        ids = []
+        for i in range(0, len(token_lists), chunk):
+            ids.extend(
+                batch_helo.observe_tokens_batch(
+                    token_lists[i : i + chunk]
+                ).tolist()
+            )
+        expect = [
+            observe_linear(linear_helo, " ".join(toks)) for toks in token_lists
+        ]
+        assert ids == [-1 if tid is None else tid for tid in expect]
+        assert batch_helo.state_dict() == linear_helo.state_dict()
 
 
 # -- feed, checkpoint/resume, chaos replay on the shared scenario ------------
