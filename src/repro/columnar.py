@@ -88,8 +88,9 @@ class RecordBatch:
         self.event_types = event_types
         self.fault_ids = fault_ids
         self._loc_index = loc_index
-        #: transient: per-record token lists cached by the batch parser
-        #: so classification does not re-split messages; never persisted
+        #: transient: per-record raw token tuples (``raw_tokens``)
+        #: cached by the batch parser so classification does not
+        #: re-split messages; read-only, never persisted
         self.token_lists = token_lists
 
     # -- construction --------------------------------------------------------

@@ -1,9 +1,12 @@
 """Batch parser/tokenizer: raw text lines → :class:`RecordBatch`.
 
 This is the columnar front door: one pass over the lines builds the
-timestamp/location/severity arrays *and* the per-record token lists
-(cached on ``batch.token_lists`` so template classification never
-re-splits a message).  Semantics are exactly those of
+timestamp/location/severity arrays *and* each record's raw token tuple
+(:func:`~repro.helo.tokenizer.raw_tokens`, cached on
+``batch.token_lists`` so template classification never re-splits a
+message; tuples, not lists, so the collector stops tracing them — the
+batch keeps one per record for the whole pass).  Semantics are exactly
+those of
 :func:`repro.simulation.trace.parse_log_line` +
 :func:`~repro.simulation.trace.read_log`:
 
@@ -31,11 +34,12 @@ for any input, ``parse_lines_batch(lines).to_records()`` equals
 from __future__ import annotations
 
 import math
-from typing import Iterable, List
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
 from repro.columnar import RecordBatch
+from repro.helo.tokenizer import raw_tokens
 from repro.simulation.trace import Severity, parse_timestamp
 
 __all__ = ["parse_lines_batch", "read_log_batch"]
@@ -52,14 +56,14 @@ def parse_lines_batch(
 
     Mirrors ``[parse_log_line(line) for line in lines]`` byte-for-byte
     (see module docstring for the blank/malformed policy), but builds
-    the columnar arrays directly and caches token lists for the
-    classifier.
+    the columnar arrays directly and caches each message's
+    :func:`~repro.helo.tokenizer.raw_tokens` tuple for the classifier.
     """
     ts_strs: List[str] = []
     lid_list: List[int] = []
     sev_list: List[int] = []
     msgs: List[str] = []
-    toks: List[List[str]] = []
+    toks: List[Tuple[str, ...]] = []
     pool: List[str] = []
     loc_index: dict = {}
     sev_cache: dict = {}
@@ -109,7 +113,7 @@ def parse_lines_batch(
         lid_append(lid)
         sev_append(sev)
         msg_append(msg)
-        tok_append(msg.split())
+        tok_append(raw_tokens(msg))
     try:
         timestamps = np.asarray(ts_strs, dtype=np.float64)
     except ValueError:

@@ -107,9 +107,10 @@ class OnlineHELO:
         return ids
 
     def observe_tokens_batch(self, token_lists) -> "np.ndarray":
-        """Columnar :meth:`observe_many`: raw token lists → id array.
+        """Columnar :meth:`observe_many`: raw token sequences → id array.
 
-        ``token_lists`` are per-record ``message.split()`` results (the
+        ``token_lists`` holds one read-only sequence per record, the
+        message's :func:`~repro.helo.tokenizer.raw_tokens` tuple (the
         batch parser caches them on ``RecordBatch.token_lists``).  Each
         record walks its bucket's dispatch tree
         (:meth:`TemplateTable.dispatch_trees`), as
@@ -121,7 +122,7 @@ class OnlineHELO:
         int64 ids with ``-1`` for ``None``.
 
         Results (ids *and* table mutations) are identical to
-        ``observe_many(messages)`` for the messages the token lists came
+        ``observe_many(messages)`` for the messages the tokens came
         from; ``tests/test_columnar.py::TestClassifyEquivalence`` holds
         the property.
         """

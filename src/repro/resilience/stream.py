@@ -43,6 +43,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro import obs
+from repro.helo.tokenizer import raw_tokens
 from repro.resilience.config import ResilienceConfig
 from repro.simulation.trace import Severity
 
@@ -259,7 +260,7 @@ def _insert_gap_markers(out, gaps, cfg: ResilienceConfig):
             new_fids.append(None)
         if new_toks is not None:
             new_toks.extend(toks[prev_end:g])
-            new_toks.append(msg.split())
+            new_toks.append(raw_tokens(msg))
         prev_end = g
     new_msgs.extend(msgs[prev_end:])
     if new_ets is not None:
