@@ -50,8 +50,6 @@ def test_ablation_seed_filtering(elsa_bg, benchmark):
         f"{'level-1 pairs':<28} {n_filtered_pairs:>16} {n_loose_pairs:>12}\n"
         f"{'maximal chains/pairs kept':<28} {len(filtered):>16} "
         f"{len(loose_pairs):>12}\n"
-        f"{'level-1 wall time':<28} {'(benchmarked)':>16} "
-        f"{loose_time:>11.2f}s\n"
         f"\nunfiltered growth past level 1 explodes combinatorially "
         f"(candidate tree in the\ngigabytes), so the ablation caps it at "
         f"pairs.  paper: 'By merging it with a fast\nsignal analysis "
@@ -60,6 +58,8 @@ def test_ablation_seed_filtering(elsa_bg, benchmark):
         f"original data-mining algorithm.'\n"
     )
     save_report("ablation_seeding", text)
+    # the wall time varies run to run, so it stays out of the report
+    print(f"unfiltered level-1 wall time {loose_time:.2f}s")
 
     assert n_loose_pairs > 2 * n_filtered_pairs
 
