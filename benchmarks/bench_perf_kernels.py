@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.helo.online import OnlineHELO
+from repro.helo.tokenizer import raw_tokens
 from repro.signals.bank import VectorizedDetectorBank
 from repro.signals.crosscorr import correlate_outlier_trains
 from repro.signals.extraction import extract_signals
@@ -74,12 +75,11 @@ def test_perf_columnar_template_match(bg, elsa_bg, benchmark):
     """Messages/second through the batched template matcher.
 
     The columnar analogue of :func:`test_perf_online_classification`:
-    one ``observe_tokens_batch`` call over pre-split token lists
-    instead of a Python loop of per-message lookups.
+    one ``observe_tokens_batch`` call over token tuples built by
+    ``raw_tokens``, as the batch parser builds them, instead of a
+    Python loop of per-message lookups.
     """
-    token_lists = [
-        r.message.split() for r in bg.test_records[:20000]
-    ]
+    token_lists = [raw_tokens(r.message) for r in bg.test_records[:20000]]
     table = elsa_bg._online_helo.table
 
     def classify():
