@@ -256,6 +256,38 @@ class TestResilienceFlags:
         assert rc == 0
         assert json.loads(out2.read_text()) == json.loads(preds.read_text())
 
+    def test_self_heal_resume_from_checkpoint(self, workdir, tmp_path, capsys):
+        """The self-healing route of the same round trip: the resumed
+        run is on the checkpoint's model version and returns the
+        predictions the checkpointed run wrote."""
+        d, log, truth, model, preds, meta = workdir
+        ckpt = tmp_path / "ck.json"
+        heal = [
+            "--self-heal", "--truth", str(truth),
+            "--model-store", str(tmp_path / "models"),
+        ]
+        out1 = tmp_path / "first.json"
+        rc = main([
+            "predict", "--model", str(model), "--log", str(log),
+            "--t-start", str(meta["train_end"]), "--out", str(out1),
+            "--checkpoint", str(ckpt), *heal,
+        ])
+        assert rc == 0
+        lifecycle = json.loads(ckpt.read_text())["lifecycle"]
+        capsys.readouterr()
+        out2 = tmp_path / "resumed.json"
+        rc = main([
+            "predict", "--model", str(model), "--log", str(log),
+            "--t-start", str(meta["train_end"]), "--out", str(out2),
+            "--resume-from", str(ckpt), *heal,
+        ])
+        assert rc == 0
+        # the run swapped three times on this stream (pinned at the
+        # commit before self-healing resume was folded into one path)
+        assert lifecycle["model_version"] == 4
+        assert "on model v4" in capsys.readouterr().out
+        assert json.loads(out2.read_text()) == json.loads(out1.read_text())
+
     def test_rejected_checkpoint_is_one_error_line(
         self, workdir, tmp_path, capsys
     ):

@@ -427,6 +427,69 @@ class TestFleetIntegration:
             Fleet({}, key=lambda loc: loc)
 
 
+class TestSelfHealingFleet:
+    #: per-tenant sha256 of the canonical prediction JSON; t3 swaps to
+    #: model v2 after ~4,540 records and is killed at 7,000, so its
+    #: restart resumes a checkpoint written on the swapped model
+    DIGESTS = {
+        "t0": (
+            "194cdc6949d16342b47da34843d1af8b"
+            "22fe90d7bd7f413e26ec4040611821de"
+        ),
+        "t1": (
+            "56aaa8a2b8342eb0ef795e1627d6ced8"
+            "6da63352e8a824c4609c135c417cb139"
+        ),
+        "t2": (
+            "3c74d85704e3c832792083ecbd757f65"
+            "53fe4b6ee5528e2238350f6e6c1c28be"
+        ),
+        "t3": (
+            "a9ef46cd649851c62415f1728a0ab3eb"
+            "6dd149d0a07ebbdc974d9f1151e3f31f"
+        ),
+    }
+    ACTIVE_VERSIONS = {"t0": 1, "t1": 1, "t2": 1, "t3": 2}
+
+    def test_killed_self_healing_shard_resumes_on_its_model(
+        self, small_scenario, tmp_path
+    ):
+        """Self-healing shards, one killed after its model swap: pinned
+        per-tenant predictions and active model versions."""
+        import hashlib
+
+        from repro import ELSA
+
+        # a private fit: other tests mutate the session pipeline's
+        # online template state, which every shard would copy
+        elsa = ELSA(small_scenario.machine)
+        elsa.fit(small_scenario.records,
+                 t_train_end=small_scenario.train_end)
+        tenants = sorted(self.DIGESTS)
+        fleet = Fleet.build(
+            elsa, tenants, small_scenario.train_end, small_scenario.t_end,
+            hashed_tenant_key(len(tenants)), tmp_path / "ckpts",
+            faults=list(small_scenario.ground_truth), self_heal=True,
+            clock=ManualClock(), register=False,
+        )
+        try:
+            fleet.kill("t3", after_records=7000)
+            out = fleet.run(small_scenario.test_records)
+            digests = {
+                t: hashlib.sha256(pred_json(out[t]).encode()).hexdigest()
+                for t in tenants
+            }
+            versions = {
+                t: fleet.shards[t].run.manager.active_version
+                for t in tenants
+            }
+            assert fleet.shards["t3"].restarts == 1
+        finally:
+            fleet.close()
+        assert digests == self.DIGESTS
+        assert versions == self.ACTIVE_VERSIONS
+
+
 # ---------------------------------------------------------------------------
 # labeled history series (PR satellite: per-tenant SLO plumbing)
 # ---------------------------------------------------------------------------
