@@ -123,7 +123,6 @@ class Shard:
         self.restart_at: Optional[float] = None
         self.restarts = 0
         self.crashes = 0
-        self.records_fed = 0
         self.shed = 0
         self.shed_by_severity: dict = {}
         self.rejected = 0
@@ -142,62 +141,46 @@ class Shard:
         self._poisoned = False
         # pristine template state, for a restart before any checkpoint
         self._helo_seed = copy.deepcopy(elsa.online_state_dict())
-        self.resume_existing = bool(resume)
-        self.run = self._build_run()
-        if self.resume_existing:
-            self.records_fed = self.run.predictor.n_records_fed
+        self.run = self._build_run(resume and self._has_checkpoint())
+        self.records_fed = self.run.predictor.n_records_fed
 
     # -- run construction ----------------------------------------------------
 
-    def _silence(self, run: ResumableRun) -> ResumableRun:
-        # the fleet samples history/SLOs centrally on its own stream
-        # clock; per-shard sampling would interleave out-of-order
-        # timestamps from tenants at different stream positions
-        run.history = None
-        run.slo = None
+    def _has_checkpoint(self) -> bool:
+        return (
+            self.checkpoint_path is not None and self.checkpoint_path.exists()
+        )
+
+    def _build_run(self, resume: bool) -> ResumableRun:
+        """The shard's run, fresh or resumed from its checkpoint file.
+
+        The fleet samples history/SLOs centrally on its own stream
+        clock (per-shard sampling would interleave out-of-order
+        timestamps from tenants at different stream positions) and owns
+        the process incident manager, so the run keeps none of them: a
+        shard checkpoint carries no ``obs`` block.  ``batch_size`` ==
+        chunk makes ``feed_chunk`` checkpoint only once
+        ``checkpoint_every`` records accumulate, not after every chunk.
+        """
+        cls = ResumableRun
+        kwargs = dict(
+            checkpoint_path=self.checkpoint_path,
+            checkpoint_every=self.policy.checkpoint_every,
+            batch_size=self.policy.chunk_records,
+        )
+        if self.self_heal:
+            from repro.lifecycle.healing import SelfHealingRun
+
+            cls = SelfHealingRun
+            kwargs.update(faults=self.faults, store_dir=self.store_dir)
+        if resume:
+            run = cls.resume(
+                self.elsa, load_checkpoint(self.checkpoint_path), **kwargs
+            )
+        else:
+            run = cls(self.elsa, self.t_start, self.t_end, **kwargs)
+        run.history = run.slo = run.incidents = None
         return run
-
-    def _run_kwargs(self) -> dict:
-        # checkpoint cadence: batch_size == chunk makes feed_chunk
-        # checkpoint only once checkpoint_every records accumulate,
-        # not after every chunk
-        return {
-            "checkpoint_path": self.checkpoint_path,
-            "checkpoint_every": self.policy.checkpoint_every,
-            "batch_size": self.policy.chunk_records,
-        }
-
-    def _resume_run(self, ckpt: dict) -> ResumableRun:
-        """The shard's run, rebuilt from a loaded checkpoint."""
-        if self.self_heal:
-            from repro.lifecycle.healing import SelfHealingRun
-
-            return self._silence(SelfHealingRun.resume(
-                self.elsa, ckpt, faults=self.faults,
-                store_dir=self.store_dir, **self._run_kwargs(),
-            ))
-        return self._silence(ResumableRun.resume(
-            self.elsa, ckpt, **self._run_kwargs(),
-        ))
-
-    def _build_run(self) -> ResumableRun:
-        if (
-            self.resume_existing
-            and self.checkpoint_path is not None
-            and self.checkpoint_path.exists()
-        ):
-            return self._resume_run(load_checkpoint(self.checkpoint_path))
-        if self.self_heal:
-            from repro.lifecycle.healing import SelfHealingRun
-
-            return self._silence(SelfHealingRun(
-                self.elsa, self.t_start, self.t_end,
-                faults=self.faults, store_dir=self.store_dir,
-                **self._run_kwargs(),
-            ))
-        return self._silence(ResumableRun(
-            self.elsa, self.t_start, self.t_end, **self._run_kwargs(),
-        ))
 
     # -- ingest --------------------------------------------------------------
 
@@ -350,18 +333,15 @@ class Shard:
         """
         self.restarts += 1
         replay = self._unacked.drain()
-        have_ckpt = (
-            self.checkpoint_path is not None and self.checkpoint_path.exists()
-        )
+        have_ckpt = self._has_checkpoint()
+        if not have_ckpt:
+            self.elsa.restore_online_state(copy.deepcopy(self._helo_seed))
+        run = self._build_run(resume=have_ckpt)
         if have_ckpt:
-            run = self._resume_run(load_checkpoint(self.checkpoint_path))
             # defensive: skip any replay prefix the cursor already covers
             acked = self.records_fed - len(replay)
             skip = max(0, run.predictor.n_records_fed - acked)
             replay = replay[skip:]
-        else:
-            self.elsa.restore_online_state(copy.deepcopy(self._helo_seed))
-            run = self._build_run()
         self.run = run
         self.records_fed = run.predictor.n_records_fed
         chunk = self.policy.chunk_records

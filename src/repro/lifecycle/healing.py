@@ -40,7 +40,7 @@ import os
 import pickle
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, Optional, Sequence
+from typing import Deque, Optional, Sequence
 
 from repro import obs
 from repro.lifecycle.ladder import DegradationLadder
@@ -185,24 +185,16 @@ class SelfHealingRun(ResumableRun):
         obs.register_state_section("lifecycle", self.state)
 
     @classmethod
-    def resume(
-        cls,
-        elsa,
-        checkpoint: dict,
-        faults: Sequence = (),
-        policy: Optional[LifecyclePolicy] = None,
-        store_dir: Optional[os.PathLike] = None,
-        checkpoint_path: Optional[os.PathLike] = None,
-        checkpoint_every: Optional[int] = None,
-        batch_size: Optional[int] = None,
-    ) -> "SelfHealingRun":
-        """Rebuild a self-healing run from a v2 checkpoint.
+    def resume(cls, elsa, checkpoint: dict, **kwargs) -> "SelfHealingRun":
+        """Rebuild a self-healing run on the checkpoint's model.
 
-        The checkpoint's ``lifecycle`` block names the active model
-        version; for a non-seed version the pickled snapshot is loaded
-        from ``model_path`` and installed as ``elsa.model`` *before*
-        the predictor is rebuilt — the resumed run continues on the
-        swapped model, not the seed (the CI soak job's assertion).
+        This only decides which model the run resumes on; everything
+        else is :meth:`ResumableRun.resume`.  The checkpoint's
+        ``lifecycle`` block names the active model version; for a
+        non-seed version the pickled snapshot is loaded from
+        ``model_path`` and installed as ``elsa.model`` *before* the
+        predictor is rebuilt — the resumed run continues on the swapped
+        model, not the seed (the CI soak job's assertion).
 
         When the checkpoint references a swapped model whose snapshot
         can no longer be loaded (``model_path`` absent, the file gone,
@@ -214,86 +206,40 @@ class SelfHealingRun(ResumableRun):
         ``resumed_degraded`` on the returned run records which path was
         taken.
         """
-        lc = checkpoint.get("lifecycle") or dict(DEFAULT_LIFECYCLE)
+        lc = checkpoint.get("lifecycle") or DEFAULT_LIFECYCLE
         version = int(lc.get("model_version", 1))
-        degraded = False
-        if version > 1:
-            path = lc.get("model_path")
-            snapshot = None
-            if path:
-                try:
-                    snapshot = ModelManager.load_snapshot(path)
-                except (OSError, pickle.UnpicklingError, EOFError):
-                    snapshot = None
-            if snapshot is not None:
-                elsa.model = snapshot
-            else:
-                # the swapped model is unrecoverable: restart the window
-                # on the seed model rather than refusing to resume —
-                # predictor and template state describe the swapped
-                # model's behaviour, so they are discarded with it
-                obs.counter("lifecycle.resume_snapshot_missing").inc()
-                log.warning(
-                    "checkpoint model snapshot unavailable; "
-                    "degrading to a fresh fit on the seed model",
-                    extra=obs.logging.kv(
-                        model_version=version, model_path=path,
-                    ),
-                )
-                degraded = True
-                version = 1
-        pstate_times = checkpoint["predictor"]
-        if degraded:
-            run = cls(
-                elsa,
-                t_start=pstate_times["t_start"],
-                t_end=pstate_times["t_end"],
-                faults=faults,
-                policy=policy,
-                store_dir=store_dir,
-                checkpoint_path=checkpoint_path,
-                checkpoint_every=checkpoint_every,
-                batch_size=batch_size,
-                seed_version=1,
+        if version == 1:
+            return super().resume(elsa, checkpoint, **kwargs)
+        path = lc.get("model_path")
+        snapshot = None
+        if path:
+            try:
+                snapshot = ModelManager.load_snapshot(path)
+            except (OSError, pickle.UnpicklingError, EOFError):
+                pass
+        if snapshot is not None:
+            elsa.model = snapshot
+            return super().resume(
+                elsa, checkpoint, seed_version=version, **kwargs
             )
-            run.resumed_degraded = True
-            if run.history is not None:
-                run.history.annotate(
-                    "resume_snapshot_missing", run.t_start,
-                    {"lost_model_version": int(lc.get("model_version", 1))},
-                )
-            return run
-        if checkpoint.get("helo") is not None:
-            elsa.restore_online_state(checkpoint["helo"])
+        # the swapped model is unrecoverable: restart the window on the
+        # seed model rather than refusing to resume — predictor and
+        # template state describe the swapped model's behaviour, so
+        # they are discarded with it
+        obs.counter("lifecycle.resume_snapshot_missing").inc()
+        log.warning(
+            "checkpoint model snapshot unavailable; "
+            "degrading to a fresh fit on the seed model",
+            extra=obs.logging.kv(model_version=version, model_path=path),
+        )
         pstate = checkpoint["predictor"]
-        run = cls(
-            elsa,
-            t_start=pstate["t_start"],
-            t_end=pstate["t_end"],
-            faults=faults,
-            policy=policy,
-            store_dir=store_dir,
-            checkpoint_path=checkpoint_path,
-            checkpoint_every=checkpoint_every,
-            batch_size=batch_size,
-            seed_version=version,
-        )
-        run.predictor.load_state(pstate)
-        # restoring a checkpointed rung is not a live transition —
-        # don't annotate it as one
-        run.ladder.on_transition = None
-        run.ladder.restore(int(lc.get("ladder_rung", 0)))
-        run.ladder.on_transition = run._annotate_ladder
-        obs_block = checkpoint.get("obs") or {}
-        if obs_block.get("history") is not None:
-            run.history.load_state(obs_block["history"])
-        if obs_block.get("slo") is not None:
-            run.slo.load_state(obs_block["slo"])
-        # stream clock resumes at the last closed sample; the record
-        # buffer restarts empty and refills from the live stream
-        run._clock = run.t_start + (
-            float(pstate["k"]) * run.predictor.sampling_period
-        )
+        run = cls(elsa, pstate["t_start"], pstate["t_end"], **kwargs)
+        run.resumed_degraded = True
+        if run.history is not None:
+            run.history.annotate(
+                "resume_snapshot_missing", run.t_start,
+                {"lost_model_version": version},
+            )
         return run
 
     def _annotate_ladder(self, old, new) -> None:
@@ -332,6 +278,18 @@ class SelfHealingRun(ResumableRun):
             "ladder_rung": int(self.ladder.rung),
             "model_path": mv.path,
         }
+
+    def _restore_lifecycle(self, lifecycle: dict) -> None:
+        # restoring a checkpointed rung is not a live transition —
+        # don't annotate it as one
+        self.ladder.on_transition = None
+        self.ladder.restore(int(lifecycle.get("ladder_rung", 0)))
+        self.ladder.on_transition = self._annotate_ladder
+        # stream clock resumes at the last closed sample; the record
+        # buffer restarts empty and refills from the live stream
+        self._clock = self.t_start + (
+            self.predictor._k * self.predictor.sampling_period
+        )
 
     # -- triggers ------------------------------------------------------------
 

@@ -150,8 +150,12 @@ class ResumableRun:
     registry into the process :class:`~repro.obs.history.MetricHistory`
     on the *stream* clock (so history is deterministic and replayable)
     and evaluates the :class:`~repro.obs.slo.SLOEngine` after every
-    sample; both persist through the checkpoint's ``obs`` block.  Pass
-    explicit instances to isolate a run from the process singletons.
+    sample; both persist through the checkpoint's ``obs`` block, as do
+    the process incident manager's counters.  Pass explicit instances
+    to isolate a run from the process singletons; an owner that keeps
+    them itself (a fleet shard) sets ``history``, ``slo`` and
+    ``incidents`` to ``None``, and the run then neither samples nor
+    checkpoints them.
     """
 
     def __init__(
@@ -179,32 +183,22 @@ class ResumableRun:
         self.slo = (
             slo_engine if slo_engine is not None else obs.get_slo_engine()
         )
+        self.incidents = obs.get_incident_manager()
         # firing alerts exemplify with the last emitted predictions
         self.slo.attach_recorder(self.predictor.flight_recorder)
 
     @classmethod
-    def resume(
-        cls,
-        elsa,
-        checkpoint: dict,
-        checkpoint_path: Optional[os.PathLike] = None,
-        checkpoint_every: Optional[int] = None,
-        batch_size: Optional[int] = None,
-        history=None,
-        slo_engine=None,
-    ) -> "ResumableRun":
-        """Rebuild a run mid-stream from :func:`load_checkpoint` output."""
+    def resume(cls, elsa, checkpoint: dict, **kwargs) -> "ResumableRun":
+        """Rebuild a run mid-stream from :func:`load_checkpoint` output.
+
+        The one place a checkpoint is read back into a run: builds
+        ``cls(elsa, t_start, t_end, **kwargs)`` over the checkpointed
+        window, restores the online HELO state, the predictor and the
+        ``obs`` blocks, and hands the ``lifecycle`` block to
+        :meth:`_restore_lifecycle`.
+        """
         pstate = checkpoint["predictor"]
-        run = cls(
-            elsa,
-            t_start=pstate["t_start"],
-            t_end=pstate["t_end"],
-            checkpoint_path=checkpoint_path,
-            checkpoint_every=checkpoint_every,
-            batch_size=batch_size,
-            history=history,
-            slo_engine=slo_engine,
-        )
+        run = cls(elsa, pstate["t_start"], pstate["t_end"], **kwargs)
         if checkpoint.get("helo") is not None:
             elsa.restore_online_state(checkpoint["helo"])
         run.predictor.load_state(pstate)
@@ -214,7 +208,10 @@ class ResumableRun:
         if obs_block.get("slo") is not None:
             run.slo.load_state(obs_block["slo"])
         if obs_block.get("incidents") is not None:
-            obs.get_incident_manager().load_state(obs_block["incidents"])
+            run.incidents.load_state(obs_block["incidents"])
+        run._restore_lifecycle(
+            checkpoint.get("lifecycle") or DEFAULT_LIFECYCLE
+        )
         return run
 
     # -- driving ---------------------------------------------------------------
@@ -229,6 +226,10 @@ class ResumableRun:
         """The checkpoint's ``lifecycle`` block (seed defaults here;
         :class:`~repro.lifecycle.healing.SelfHealingRun` overrides)."""
         return None
+
+    def _restore_lifecycle(self, lifecycle: dict) -> None:
+        """Hook: adopt a checkpoint's ``lifecycle`` block on resume
+        (no-op; a plain run has only the seed model)."""
 
     def _after_chunk(self, batch: RecordBatch) -> None:
         """Hook between feeding a chunk and checkpointing it (no-op)."""
@@ -252,9 +253,8 @@ class ResumableRun:
             out["history"] = self.history.state_dict()
         if self.slo is not None:
             out["slo"] = self.slo.state_dict()
-        manager = obs.get_incident_manager()
-        if manager.dirty:
-            out["incidents"] = manager.state_dict()
+        if self.incidents is not None and self.incidents.dirty:
+            out["incidents"] = self.incidents.state_dict()
         return out or None
 
     def _maybe_checkpoint(self) -> None:

@@ -339,6 +339,68 @@ class TestPersistence:
         assert restored.state()["triggers"] == 1
         assert restored.armed
 
+    def test_self_healing_resume_restores_the_obs_incidents_block(
+        self, fitted_elsa, small_scenario, tmp_path
+    ):
+        """A self-healing run resumes the incident counters exactly as
+        a plain run does: one resume path reads the ``obs`` block."""
+        import copy
+
+        from repro.lifecycle import SelfHealingRun
+        from repro.resilience.checkpoint import load_checkpoint
+
+        ckpt = tmp_path / "heal.ckpt"
+        run = SelfHealingRun(
+            copy.deepcopy(fitted_elsa), small_scenario.train_end,
+            small_scenario.t_end, checkpoint_path=ckpt,
+            checkpoint_every=500,
+        )
+        mgr = get_incident_manager()
+        mgr.arm(tmp_path / "inc")
+        mgr.capture("slo_firing", {"slo": "x"})
+        run.feed_chunk(small_scenario.test_records[:500])
+        assert load_checkpoint(ckpt)["obs"]["incidents"]["seq"] == 1
+        obs.reset()
+        SelfHealingRun.resume(
+            copy.deepcopy(fitted_elsa), load_checkpoint(ckpt),
+        )
+        restored = get_incident_manager()
+        assert restored.state()["triggers"] == 1
+        assert restored.armed
+
+    def test_shard_restarts_do_not_rewind_the_incident_manager(
+        self, fitted_elsa, small_scenario, tmp_path
+    ):
+        """The fleet owns the incident manager: a shard checkpoint
+        carries none of its state, so a restart cannot roll the bundle
+        sequence back and overwrite an earlier restart's bundle."""
+        from repro.fleet import Fleet, ManualClock, hashed_tenant_key
+
+        tenants = ["t0", "t1", "t2", "t3"]
+        fleet = Fleet.build(
+            fitted_elsa, tenants, small_scenario.train_end,
+            small_scenario.t_end, hashed_tenant_key(len(tenants)),
+            tmp_path / "ckpts", clock=ManualClock(), register=False,
+        )
+        try:
+            fleet.bind_forensics(tmp_path / "inc")
+            # both kills land past a checkpoint, so both restarts resume
+            fleet.kill("t0", after_records=2500)
+            fleet.kill("t2", after_records=5000)
+            fleet.run(small_scenario.test_records)
+            assert fleet.shards["t0"].restarts == 1
+            assert fleet.shards["t2"].restarts == 1
+        finally:
+            fleet.close()
+        mgr = get_incident_manager()
+        assert [b["id"] for b in mgr.bundles()] == [
+            "inc-0001-shard_restart", "inc-0002-shard_restart",
+        ]
+        assert mgr.state()["total"] == 2
+        ckpts = sorted((tmp_path / "ckpts").glob("*.ckpt.json"))
+        assert len(ckpts) == len(tenants)
+        assert not any("obs" in json.loads(p.read_text()) for p in ckpts)
+
     def test_export_state_always_has_an_incidents_section(self):
         state = obs.export_state()
         assert state["incidents"]["armed"] is False
