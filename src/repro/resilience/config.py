@@ -13,7 +13,9 @@ class ResilienceConfig:
     out of time order are held and re-sorted as long as they are no older
     than the newest timestamp seen minus this window; older stragglers
     are quarantined.  Production syslog relays routinely deliver
-    multi-second skew, so the default is generous.
+    multi-second skew, so the default is generous.  It also bounds
+    dedupe: a repeat carries its original's timestamp, so one that
+    arrives further behind than this window is quarantined as late.
 
     ``gap_threshold_seconds`` is the silence span after which the stream
     emits a synthetic sensor-silent marker record (see
@@ -38,7 +40,6 @@ class ResilienceConfig:
     """
 
     skew_window_seconds: float = 120.0
-    dedupe_window_seconds: float = 120.0
     gap_threshold_seconds: float = 900.0
     clock_jump_seconds: float = 3600.0
     max_rate_per_second: float = 0.0

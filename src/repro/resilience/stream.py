@@ -17,9 +17,8 @@ Malformed lines never reach it: the lenient readers
    seen minus the skew window) are quarantined
    (``resilience.dropped_late``);
 2. **dedupe** — exact repeats (same timestamp, location, severity,
-   message) within the dedupe window collapse to one
-   (``resilience.deduplicated``); the record then advances the
-   watermark, whatever the next stage decides;
+   message) collapse to one (``resilience.deduplicated``); the record
+   then advances the watermark, whatever the next stage decides;
 3. **backpressure** — when input rate exceeds the configured budget,
    deterministic sampling sheds low-severity overflow
    (``resilience.sampled_out``);
@@ -91,9 +90,10 @@ def sanitize_batch(
     - **dedupe**: the dedupe key includes the timestamp, so duplicates
       can only hide among rows whose timestamp repeats — ``np.unique``
       narrows the candidate set and a set scan settles only those rows.
-      "Seen anywhere earlier" is exact, not an approximation: a same-key
-      row far enough behind to leave the dedupe window is older than
-      the watermark, so it was quarantined as late first.
+      "Seen anywhere earlier" is exact, not an approximation, and needs
+      no window of its own: a repeat carries its original's timestamp,
+      so one that trails the newest record by more than the skew window
+      is older than the watermark and was quarantined as late first.
     - **backpressure** (:func:`_rate_shed`): a per-bucket cumulative
       count over the surviving rows.
     - **reorder**: one stable argsort by timestamp (ties keep arrival

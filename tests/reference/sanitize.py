@@ -20,10 +20,10 @@ class ResilientStream:
     """Sanitizing iterator over a record stream, one record at a time.
 
     Per record: late quarantine against the watermark (newest timestamp
-    seen minus the skew window), dedupe within the dedupe window, the
-    watermark advance, rate-limit sampling, then a min-heap reorder
-    buffer that releases records as the watermark passes them; gap
-    markers are inserted on the way out.  Iterate once; afterwards
+    seen minus the skew window), dedupe against the keys seen within
+    the skew window, the watermark advance, rate-limit sampling, then a
+    min-heap reorder buffer that releases records as the watermark
+    passes them; gap markers are inserted on the way out.  Iterate once; afterwards
     ``stats`` and ``dead_letters`` describe the pass.
     """
 
@@ -73,10 +73,9 @@ class ResilientStream:
             return True
         self._seen_keys[key] = rec.timestamp
         self._key_queue.append((rec.timestamp, key))
-        horizon = rec.timestamp - max(
-            self.config.dedupe_window_seconds,
-            self.config.skew_window_seconds,
-        )
+        # a purged key's repeat trails the watermark by more than the
+        # skew window, so it is quarantined as late before this check
+        horizon = rec.timestamp - self.config.skew_window_seconds
         while self._key_queue and self._key_queue[0][0] < horizon:
             _, old = self._key_queue.popleft()
             self._seen_keys.pop(old, None)
