@@ -185,24 +185,21 @@ def measure_profiler_overhead(sc, elsa, test, trials=3):
     Both sides run the transient-span instrumentation (the production
     streaming path always does), so the ratio isolates what the sampling
     thread itself costs.  Best-of-``trials`` on each side damps runner
-    noise.
+    noise, and the sides alternate trial by trial (the profiler samples
+    only the "on" runs), so a slow spell of the host cannot land on one
+    side alone.
     """
     from repro import obs
 
     n = len(test)
-    best_off = float("inf")
+    best_off = best_on = float("inf")
+    profiler = obs.StageProfiler()
     for _ in range(trials):
         elapsed, _, _ = _run_once(sc, elsa, test, fast=True, spans=True)
         best_off = min(best_off, elapsed)
-    profiler = obs.StageProfiler()
-    profiler.start()
-    try:
-        best_on = float("inf")
-        for _ in range(trials):
+        with profiler:
             elapsed, _, _ = _run_once(sc, elsa, test, fast=True, spans=True)
-            best_on = min(best_on, elapsed)
-    finally:
-        profiler.stop()
+        best_on = min(best_on, elapsed)
     stats = profiler.stats()
     return {
         "records_per_sec_without": round(n / best_off, 1),
@@ -267,11 +264,11 @@ def measure_columnar(sc, elsa, test, trials=3) -> dict:
     """
     lines = [r.format_line() for r in test]
     n = len(lines)
-    best = {}
+    best = {"columnar": float("inf"), "object": float("inf")}
     preds = {}
-    for label, columnar in (("columnar", True), ("object", False)):
-        best[label] = float("inf")
-        for _ in range(trials):
+    # the sides alternate trial by trial, as in :func:`measure`
+    for _ in range(trials):
+        for label, columnar in (("columnar", True), ("object", False)):
             elapsed, p = _e2e_once(sc, elsa, lines, columnar)
             best[label] = min(best[label], elapsed)
             preds[label] = p
@@ -308,25 +305,29 @@ def measure(trials: int = 3) -> dict:
     preds = {}
     # per-chunk record counts, for record-weighted latency percentiles
     lens = [len(test[a:a + CHUNK]) for a in range(0, n, CHUNK)]
-    for label, fast in (("fast", True), ("legacy", False)):
-        best = float("inf")
-        all_chunk_us = []
-        for _ in range(trials):
+    sides = (("fast", True), ("legacy", False))
+    best = {label: float("inf") for label, _ in sides}
+    all_chunk_us = {label: [] for label, _ in sides}
+    # the sides alternate trial by trial, so a slow spell of the host
+    # lands on both rather than on every trial of one side
+    for _ in range(trials):
+        for label, fast in sides:
             elapsed, chunk_us, p = _run_once(sc, elsa, test, fast)
-            best = min(best, elapsed)
-            all_chunk_us.extend(chunk_us)
+            best[label] = min(best[label], elapsed)
+            all_chunk_us[label].extend(chunk_us)
             preds[label] = p
-        weights = lens * trials
+    weights = lens * trials
+    for label, _ in sides:
         out[label] = {
-            "records_per_sec": round(n / best, 1),
-            "us_per_record": round(best / n * 1e6, 3),
+            "records_per_sec": round(n / best[label], 1),
+            "us_per_record": round(best[label] / n * 1e6, 3),
             "feed_us_per_record_p50": round(
-                _weighted_percentile(all_chunk_us, weights, 50), 3
+                _weighted_percentile(all_chunk_us[label], weights, 50), 3
             ),
             "feed_us_per_record_p99": round(
-                _weighted_percentile(all_chunk_us, weights, 99), 3
+                _weighted_percentile(all_chunk_us[label], weights, 99), 3
             ),
-            "best_seconds": round(best, 4),
+            "best_seconds": round(best[label], 4),
         }
     identical = json.dumps([p.to_dict() for p in preds["fast"]]) == (
         json.dumps([p.to_dict() for p in preds["legacy"]])
