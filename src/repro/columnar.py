@@ -9,7 +9,7 @@ strings.  It is produced **once** at parse time
 and consumed zero-copy by every downstream stage: template matching
 (:meth:`repro.helo.online.OnlineHELO.observe_tokens_batch`), sanitizing
 (:func:`repro.resilience.stream.sanitize_batch`), binning and detector
-ticking (:meth:`repro.prediction.streaming.StreamingHybridPredictor.feed`),
+ticking (:meth:`repro.prediction.engine.HybridPredictor.feed`),
 and fleet shard handoff (:class:`repro.fleet.queue.RecordDeque`).
 
 Slicing is a view (arrays are numpy views, the location pool is

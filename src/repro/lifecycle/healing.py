@@ -24,7 +24,7 @@ around a :class:`~repro.resilience.checkpoint.ResumableRun`:
 4. **Hot-swap or rollback** — a winner is registered with the
    :class:`~repro.lifecycle.manager.ModelManager`, activated, and
    swapped into the streaming predictor atomically
-   (:meth:`~repro.prediction.streaming.StreamingHybridPredictor.swap_model`:
+   (:meth:`~repro.prediction.engine.HybridPredictor.swap_model`:
    no prediction dropped or duplicated); a loser is rolled back and the
    next attempt waits out an exponential backoff.
 
@@ -481,15 +481,7 @@ class SelfHealingRun(ResumableRun):
             t_end=t_end,
             sampling_period=cfg.sampling_period,
         )
-        engine = HybridPredictor(
-            chains=model.predictive_chains,
-            behaviors=model.behaviors,
-            location_predictor=model.location_predictor,
-            grite_config=cfg.grite,
-            config=cfg.predictor,
-            span_quantiles=model.span_quantiles,
-        )
-        predictions = engine.run(stream)
+        predictions = HybridPredictor.from_model(model, cfg).run(stream)
         result = evaluate_predictions(predictions, faults)
         return {
             "recall": result.recall,

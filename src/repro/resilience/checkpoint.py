@@ -17,7 +17,7 @@ Format (version 2)::
       "kind": "elsa-online-checkpoint",
       "n_records_done": 1234,          # resume cursor into the window
       "helo": {...} | null,            # OnlineHELO.state_dict()
-      "predictor": {...},              # StreamingHybridPredictor.state_dict()
+      "predictor": {...},              # HybridPredictor.state_dict()
       "lifecycle": {                   # model-lifecycle position
         "model_version": 1,            # active ModelManager version
         "ladder_rung": 0,              # degradation-ladder rung
@@ -52,8 +52,7 @@ import numpy as np
 
 from repro import obs
 from repro.columnar import RecordBatch
-from repro.prediction.engine import Prediction
-from repro.prediction.streaming import StreamingHybridPredictor
+from repro.prediction.engine import HybridPredictor, Prediction
 from repro.simulation.trace import LogRecord
 
 CHECKPOINT_KIND = "elsa-online-checkpoint"
@@ -65,7 +64,7 @@ DEFAULT_LIFECYCLE = {"model_version": 1, "ladder_rung": 0, "model_path": None}
 
 def save_checkpoint(
     path: os.PathLike,
-    predictor: StreamingHybridPredictor,
+    predictor: HybridPredictor,
     helo_state: Optional[dict],
     lifecycle: Optional[dict] = None,
     obs_state: Optional[dict] = None,

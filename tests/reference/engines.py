@@ -4,12 +4,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.prediction.engine import Prediction
-from repro.prediction.streaming import StreamingHybridPredictor
+from repro.prediction.engine import HybridPredictor, Prediction
 from repro.signals.outliers import restore_detector
 
 
-class ScalarEngine(StreamingHybridPredictor):
+class ScalarEngine(HybridPredictor):
     """The online engine with one scalar detector per anchor.
 
     Fed record by record through :func:`feed_scalar`, it closes samples
@@ -90,8 +89,8 @@ def scalar_engine(elsa, t_start: float, t_end: float, state=None):
     ``state`` (a ``state_dict`` of either engine) restores a mid-stream
     snapshot first.
     """
-    predictor = ScalarEngine.from_predictor(
-        elsa.hybrid_predictor(), t_start, t_end, elsa.config.sampling_period
+    predictor = ScalarEngine.from_model(
+        elsa.model, elsa.config, t_start=t_start, t_end=t_end
     )
     if state is not None:
         predictor.load_state(state)

@@ -211,18 +211,21 @@ class TestPredictorDegradation:
     ):
         """The detector bank is the engine's only detector store: a
         detector class it cannot hold fails the engine's construction."""
-        from repro.prediction.streaming import StreamingHybridPredictor
+        from repro.prediction.engine import HybridPredictor
         from repro.signals.bank import BankLayoutError
 
         class ForeignDetector:
             def process(self, v):
                 return False, v
 
-        predictor = fitted_elsa.hybrid_predictor()
-        predictor._make_detector = lambda tid: ForeignDetector()
+        class ForeignEngine(HybridPredictor):
+            def _make_detector(self, tid):
+                return ForeignDetector()
+
         with pytest.raises(BankLayoutError):
-            StreamingHybridPredictor.from_predictor(
-                predictor, small_scenario.train_end, small_scenario.t_end
+            ForeignEngine.from_model(
+                fitted_elsa.model, fitted_elsa.config,
+                t_start=small_scenario.train_end, t_end=small_scenario.t_end,
             )
 
     @pytest.mark.parametrize("route", ["resumable", "run"])
