@@ -553,3 +553,36 @@ class TestLifecycleHistoryAnnotations:
         assert len(moves) == saved_moves
         # the hook is re-armed after restore
         assert resumed.ladder.on_transition is not None
+
+
+class TestResumedScoreboard:
+    def test_scoreboard_attached_before_resume_sees_the_whole_run(
+        self, fitted_elsa, small_scenario, tmp_path
+    ):
+        """A self-healing run attaches its scoreboard before the
+        checkpoint loads; the resumed run's scoreboard still ends where
+        the uninterrupted run's does."""
+        scn = small_scenario
+        # no retrain can start, so every run emits the same predictions
+        policy = LifecyclePolicy(min_train_records=10**9, drift_threshold=1.3)
+        kw = dict(faults=scn.test_faults, policy=policy)
+        whole = SelfHealingRun(
+            copy.deepcopy(fitted_elsa), scn.train_end, scn.t_end,
+            store_dir=tmp_path / "whole", **kw,
+        )
+        whole.run(scn.records)
+        ckpt = tmp_path / "ckpt.json"
+        first = SelfHealingRun(
+            copy.deepcopy(fitted_elsa), scn.train_end, scn.t_end,
+            store_dir=tmp_path / "store",
+            checkpoint_path=ckpt, checkpoint_every=3000, **kw,
+        )
+        first.process(scn.records, limit=12000)
+        state = load_checkpoint(ckpt)
+        assert state["predictor"]["predictions"]
+        resumed = SelfHealingRun.resume(
+            copy.deepcopy(fitted_elsa), state,
+            store_dir=tmp_path / "store", **kw,
+        )
+        resumed.run(scn.records)
+        assert resumed.scoreboard.snapshot() == whole.scoreboard.snapshot()

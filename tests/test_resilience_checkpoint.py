@@ -11,6 +11,7 @@ import json
 import pytest
 
 from repro import ELSA
+from repro.prediction.scoreboard import OnlineScoreboard
 from repro.resilience.checkpoint import (
     ResumableRun,
     load_checkpoint,
@@ -124,6 +125,35 @@ class TestKillAndResume:
         run = ResumableRun.resume(fitted_elsa, load_checkpoint(ckpt))
         resumed = run.run(small_scenario.records)
         assert pred_json(resumed) == pred_json(batch)
+
+    def test_scoreboard_attached_after_resume_sees_the_whole_run(
+        self, fitted_elsa, small_scenario, batch_reference, tmp_path
+    ):
+        """A scoreboard attached to a resumed run (as ``predict --truth
+        --resume-from`` does) ends where the uninterrupted run's does:
+        the predictions the checkpoint restores are registered with
+        it."""
+        _, helo_state = batch_reference
+        sc = small_scenario
+
+        def score(run):
+            board = OnlineScoreboard(faults=sc.test_faults)
+            run.predictor.attach_scoreboard(board)
+            run.run(sc.records)
+            return board.snapshot()
+
+        expect = score(ResumableRun(fitted_elsa, sc.train_end, sc.t_end))
+        fitted_elsa.restore_online_state(helo_state)
+        ckpt = tmp_path / "ck.json"
+        run = ResumableRun(
+            fitted_elsa, sc.train_end, sc.t_end,
+            checkpoint_path=ckpt, checkpoint_every=3000,
+        )
+        run.process(sc.records, limit=12000)
+        fitted_elsa.restore_online_state(helo_state)
+        state = load_checkpoint(ckpt)
+        assert state["predictor"]["predictions"]
+        assert score(ResumableRun.resume(fitted_elsa, state)) == expect
 
     def test_checkpoint_is_plain_json(
         self, fitted_elsa, small_scenario, tmp_path
