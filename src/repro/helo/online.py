@@ -25,11 +25,7 @@ from repro import obs
 from repro.helo import tokenizer
 from repro.helo.miner import HELOMiner, MinerConfig
 from repro.helo.template import MinedTemplate, TemplateTable
-from repro.helo.tokenizer import (
-    normalize_raw_token,
-    normalize_tokens,
-    tokenize,
-)
+from repro.helo.tokenizer import normalize_raw_token, raw_tokens
 
 
 @dataclass
@@ -79,35 +75,20 @@ class OnlineHELO:
         Returns the template id, or ``None`` while evidence for a brand
         new template is still accumulating.
         """
-        norm = tuple(normalize_tokens(tokenize(message)))
-        if not norm:
-            return None
-        tid = self.table.classify_tokens(list(norm))
-        if tid is not None:
-            return tid
-        return self._handle_miss(norm)
+        return self.observe_many([message])[0]
 
     def observe_many(self, messages: List[str]) -> List[Optional[int]]:
         """Classify a batch, applying updates as they trigger.
 
-        Metrics are batch-granular (one registry update per call) so the
-        per-message hot loop stays untouched.
+        :meth:`observe_tokens_batch` over the messages'
+        :func:`~repro.helo.tokenizer.raw_tokens`, with ``None`` where it
+        gives ``-1``.
         """
-        misses_before = self._n_misses
-        updates_before = len(self.updated_ids)
-        ids = [self.observe(m) for m in messages]
-        if messages:
-            obs.counter("helo.online.observed").inc(len(messages))
-            obs.counter("helo.online.misses").inc(
-                self._n_misses - misses_before
-            )
-            obs.counter("helo.online.table_updates").inc(
-                len(self.updated_ids) - updates_before
-            )
-        return ids
+        ids = self.observe_tokens_batch([raw_tokens(m) for m in messages])
+        return [None if tid < 0 else tid for tid in ids.tolist()]
 
     def observe_tokens_batch(self, token_lists) -> "np.ndarray":
-        """Columnar :meth:`observe_many`: raw token sequences → id array.
+        """Classify raw token sequences; returns an id array.
 
         ``token_lists`` holds one read-only sequence per record, the
         message's :func:`~repro.helo.tokenizer.raw_tokens` tuple (the
@@ -121,10 +102,10 @@ class OnlineHELO:
         which the trees are refreshed if the table changed.  Returns
         int64 ids with ``-1`` for ``None``.
 
-        Results (ids *and* table mutations) are identical to
-        ``observe_many(messages)`` for the messages the tokens came
-        from; ``tests/test_columnar.py::TestClassifyEquivalence`` holds
-        the property.
+        Results (ids *and* table mutations) are identical to a linear
+        template scan over the messages the tokens came from;
+        ``tests/test_columnar.py::TestClassifyEquivalence`` holds the
+        property.
         """
         n = len(token_lists)
         ids = np.empty(n, dtype=np.int64)
