@@ -23,7 +23,7 @@ every member signal has an outlier at its delay (± tolerance).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 from scipy import stats as _scipy_stats
@@ -149,40 +149,59 @@ class GriteMiner:
         ordered pair, then the Mann-Whitney test filters chance
         co-occurrences.
         """
-        cfg = self.config
-        self.seed_pairs = []
-        by_src: Dict[int, List[Tuple[int, PairCorrelation]]] = {}
-        tids = sorted(trains)
-        horizon = max(
+        horizon = self._horizon(trains)
+        return self._index_seed_rows(
+            self._seed_row(a, trains, horizon) for a in sorted(trains)
+        )
+
+    @staticmethod
+    def _horizon(trains: Mapping[int, np.ndarray]) -> int:
+        """Samples the trains span (the chance model's time base)."""
+        return max(
             (int(t[-1]) + 1 for t in trains.values() if t.size), default=1
         )
-        for a in tids:
-            ta = trains[a]
-            for b in tids:
-                if a == b:
+
+    def _seed_row(
+        self, a: int, trains: Mapping[int, np.ndarray], horizon: int
+    ) -> List[Tuple[int, int, PairCorrelation]]:
+        """All significant pairs ``(a, b, correlation)`` anchored at
+        event type ``a``, in ``b`` order."""
+        cfg = self.config
+        ta = trains[a]
+        row: List[Tuple[int, int, PairCorrelation]] = []
+        for b in sorted(trains):
+            if a == b:
+                continue
+            pc = correlate_outlier_trains(
+                ta,
+                trains[b],
+                max_lag=cfg.max_pair_delay,
+                tolerance=cfg.tolerance,
+                rel_tolerance=cfg.rel_tolerance,
+                min_matches=cfg.min_support,
+            )
+            if pc is None or pc.strength < cfg.min_confidence:
+                continue
+            if pc.delay == 0 and b < a:
+                continue  # zero-delay pairs kept once (symmetric)
+            p_hit, p_tail = self._chance_probability(pc, horizon)
+            if p_hit > cfg.max_chance_hit or p_tail >= cfg.alpha_chance:
+                continue
+            if ta.size >= cfg.mw_min_samples:
+                mw = self._pair_significance(ta, trains[b], pc.delay)
+                if mw.p_value >= cfg.alpha:
                     continue
-                pc = correlate_outlier_trains(
-                    ta,
-                    trains[b],
-                    max_lag=cfg.max_pair_delay,
-                    tolerance=cfg.tolerance,
-                    rel_tolerance=cfg.rel_tolerance,
-                    min_matches=cfg.min_support,
-                )
-                if pc is None or pc.strength < cfg.min_confidence:
-                    continue
-                if pc.delay == 0 and b < a:
-                    continue  # zero-delay pairs kept once (symmetric)
-                p_hit, p_tail = self._chance_probability(pc, horizon)
-                if p_hit > cfg.max_chance_hit or p_tail >= cfg.alpha_chance:
-                    continue
-                if ta.size >= cfg.mw_min_samples:
-                    mw = self._pair_significance(ta, trains[b], pc.delay)
-                    if mw.p_value >= cfg.alpha:
-                        continue
-                entry = (b, pc)
-                by_src.setdefault(a, []).append(entry)
-                self.seed_pairs.append((a, b, pc))
+            row.append((a, b, pc))
+        return row
+
+    def _index_seed_rows(
+        self, rows: Iterable[List[Tuple[int, int, PairCorrelation]]]
+    ) -> Dict[int, List[Tuple[int, PairCorrelation]]]:
+        """Keep the rows' pairs as ``seed_pairs``; index them by source."""
+        self.seed_pairs = [pair for row in rows for pair in row]
+        by_src: Dict[int, List[Tuple[int, PairCorrelation]]] = {}
+        for a, b, pc in self.seed_pairs:
+            by_src.setdefault(a, []).append((b, pc))
         return by_src
 
     def _chance_probability(

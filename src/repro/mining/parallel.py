@@ -10,8 +10,9 @@ seeding: an all-pairs sweep of outlier trains (O(n² ) correlation calls).
 Pairs are independent, so the sweep parallelizes embarrassingly;
 :class:`ParallelGriteMiner` fans the anchor rows out over a process pool
 (processes, not threads — the work is numpy-light Python that the GIL
-would serialize) and reuses the sequential growth/pruning machinery,
-producing bit-identical results to the sequential miner.
+would serialize); each worker runs the sequential miner's own per-anchor
+row, and the growth/pruning machinery is reused as is, so results are
+bit-identical to the sequential miner's.
 
 Workers receive the full train table once via the pool initializer, so
 per-task pickling stays O(1).
@@ -26,7 +27,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.mining.grite import GriteConfig, GriteMiner
-from repro.signals.crosscorr import PairCorrelation, correlate_outlier_trains
+from repro.signals.crosscorr import PairCorrelation
 
 # Worker-process globals, set once by the pool initializer.
 _WORKER_TRAINS: Dict[int, np.ndarray] = {}
@@ -45,41 +46,11 @@ def _init_worker(
 
 
 def _seed_anchor_row(a: int) -> List[Tuple[int, int, PairCorrelation]]:
-    """All significant pairs anchored at event type ``a`` (worker side).
-
-    Mirrors ``GriteMiner._seed_pairs``'s inner loop exactly, including
-    the statistical filters, so sequential and parallel outputs agree.
-    """
-    cfg = _WORKER_CONFIG
-    trains = _WORKER_TRAINS
-    assert cfg is not None
-    scorer = GriteMiner(cfg)
-    ta = trains[a]
-    out: List[Tuple[int, int, PairCorrelation]] = []
-    for b in sorted(trains):
-        if a == b:
-            continue
-        pc = correlate_outlier_trains(
-            ta,
-            trains[b],
-            max_lag=cfg.max_pair_delay,
-            tolerance=cfg.tolerance,
-            rel_tolerance=cfg.rel_tolerance,
-            min_matches=cfg.min_support,
-        )
-        if pc is None or pc.strength < cfg.min_confidence:
-            continue
-        if pc.delay == 0 and b < a:
-            continue
-        p_hit, p_tail = scorer._chance_probability(pc, _WORKER_HORIZON)
-        if p_hit > cfg.max_chance_hit or p_tail >= cfg.alpha_chance:
-            continue
-        if ta.size >= cfg.mw_min_samples:
-            mw = scorer._pair_significance(ta, trains[b], pc.delay)
-            if mw.p_value >= cfg.alpha:
-                continue
-        out.append((a, b, pc))
-    return out
+    """All significant pairs anchored at event type ``a`` (worker side):
+    the sequential miner's own :meth:`GriteMiner._seed_row`."""
+    return GriteMiner(_WORKER_CONFIG)._seed_row(
+        a, _WORKER_TRAINS, _WORKER_HORIZON
+    )
 
 
 class ParallelGriteMiner(GriteMiner):
@@ -112,19 +83,12 @@ class ParallelGriteMiner(GriteMiner):
             return super()._seed_pairs(trains)
 
         trains = dict(trains)
-        horizon = max(
-            (int(t[-1]) + 1 for t in trains.values() if t.size), default=1
-        )
         anchors = sorted(trains)
-        self.seed_pairs = []
-        by_src: Dict[int, List[Tuple[int, PairCorrelation]]] = {}
         with ProcessPoolExecutor(
             max_workers=min(self.n_jobs, len(anchors)),
             initializer=_init_worker,
-            initargs=(trains, self.config, horizon),
+            initargs=(trains, self.config, self._horizon(trains)),
         ) as pool:
-            for row in pool.map(_seed_anchor_row, anchors, chunksize=4):
-                for a, b, pc in row:
-                    by_src.setdefault(a, []).append((b, pc))
-                    self.seed_pairs.append((a, b, pc))
-        return by_src
+            return self._index_seed_rows(
+                pool.map(_seed_anchor_row, anchors, chunksize=4)
+            )
