@@ -22,6 +22,8 @@ examples:
 	python examples/mercury_cluster.py
 	python examples/adaptive_prediction.py
 	python examples/signal_gallery.py
+	python examples/online_monitoring.py
+	python examples/live_monitoring.py
 
 clean:
 	rm -rf build dist src/repro.egg-info .pytest_cache .benchmarks

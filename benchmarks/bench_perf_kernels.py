@@ -3,7 +3,8 @@
 The online phase must keep its analysis window small (section VI.A), so
 the per-kernel throughputs are tracked as benchmarks in their own right:
 message classification (online HELO), signal extraction, the causal
-median filter, and outlier-train correlation.  These are the numbers to
+median filter, outlier-train correlation, and the ingest wire's NDJSON
+encode and decode.  These are the numbers to
 watch when modifying the hot paths — the repository's equivalent of the
 paper's "having a low execution time is a requirement for the on-line
 modules".
@@ -12,12 +13,14 @@ modules".
 import numpy as np
 import pytest
 
+from repro.fleet.ingest import decode_batch, encode_records
 from repro.helo.online import OnlineHELO
 from repro.helo.tokenizer import raw_tokens
 from repro.signals.bank import VectorizedDetectorBank
 from repro.signals.crosscorr import correlate_outlier_trains
 from repro.signals.extraction import extract_signals
 from repro.signals.outliers import OnlineOutlierDetector
+from tests.reference import codec as codec_oracle
 from tests.reference.matching import observe_linear
 
 
@@ -197,3 +200,70 @@ def test_perf_pair_correlation(benchmark):
     # unrelated dense trains may or may not correlate; the call must
     # simply stay cheap — asserted implicitly by the benchmark budget
     assert pc is None or pc.n_a == 500
+
+
+#: records per ingest write, as ``perfbench``'s ingest client sends them
+INGEST_BATCH = 64
+
+
+def _ingest_batches(bg):
+    records = bg.test_records[:20000]
+    return [records[a:a + INGEST_BATCH]
+            for a in range(0, len(records), INGEST_BATCH)]
+
+
+def _rows(batch):
+    # every field: LogRecord equality compares timestamps only
+    return [(r.timestamp, r.location, r.severity, r.message, r.event_type,
+             r.fault_id) for r in batch.to_records()]
+
+
+def test_perf_ingest_encode(bg, benchmark):
+    """Records/second through the client's NDJSON encoder, 64 a batch.
+
+    Tracked alongside :func:`test_perf_ingest_encode_oracle`, the
+    ``json.dumps``-per-record form it must match byte for byte.
+    """
+    batches = _ingest_batches(bg)
+
+    bodies = benchmark.pedantic(
+        lambda: [encode_records(b) for b in batches], rounds=3, iterations=1
+    )
+    assert bodies == [codec_oracle.encode_records(b) for b in batches]
+
+
+def test_perf_ingest_encode_oracle(bg, benchmark):
+    """The same encoding through the field-by-field oracle."""
+    batches = _ingest_batches(bg)
+
+    bodies = benchmark.pedantic(
+        lambda: [codec_oracle.encode_records(b) for b in batches],
+        rounds=3, iterations=1,
+    )
+    assert len(bodies) == len(batches)
+
+
+def test_perf_ingest_decode(bg, benchmark):
+    """Records/second through the server's NDJSON decoder, 64 a batch.
+
+    Tracked alongside :func:`test_perf_ingest_decode_oracle`; both
+    must produce the same records.
+    """
+    bodies = [codec_oracle.encode_records(b) for b in _ingest_batches(bg)]
+
+    decoded = benchmark.pedantic(
+        lambda: [decode_batch(b) for b in bodies], rounds=3, iterations=1
+    )
+    expected = [codec_oracle.decode_batch(b) for b in bodies]
+    assert [_rows(d) for d in decoded] == [_rows(e) for e in expected]
+
+
+def test_perf_ingest_decode_oracle(bg, benchmark):
+    """The same decoding through the field-by-field oracle."""
+    bodies = [codec_oracle.encode_records(b) for b in _ingest_batches(bg)]
+
+    decoded = benchmark.pedantic(
+        lambda: [codec_oracle.decode_batch(b) for b in bodies],
+        rounds=3, iterations=1,
+    )
+    assert sum(len(d) for d in decoded) == 20000

@@ -776,7 +776,7 @@ def cmd_feed(args: argparse.Namespace) -> int:
     else:
         _, records, key, _ = _scenario_test_records(args)
 
-    transport = HTTPTransport(
+    http_transport = transport = HTTPTransport(
         split.hostname, split.port, timeout=args.timeout
     )
     chaos_rates = (
@@ -819,6 +819,8 @@ def cmd_feed(args: argparse.Namespace) -> int:
     except (ClientError, IngestGaveUp) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        http_transport.close()
     _emit(f"fed         : {stats['records']} records in "
           f"{stats['batches']} batches to {len(touched)} tenants")
     _emit(f"resilience  : {stats['retries']} retries, "
@@ -1611,7 +1613,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--request-timeout", dest="request_timeout", type=float,
         default=30.0, metavar="SECONDS",
         help="per-connection socket timeout (slowloris guard; "
-             "counted in telemetry.request_timeouts)",
+             "counted in telemetry.request_timeouts); also closes a "
+             "keep-alive connection idle this long, uncounted",
     )
     p.add_argument(
         "--pump-interval", dest="pump_interval", type=float,

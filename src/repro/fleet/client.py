@@ -36,7 +36,7 @@ import json
 import random
 import socket
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.resilience.breaker import CircuitBreaker
@@ -91,20 +91,52 @@ class Response:
             return {}
 
 
-class HTTPTransport:
-    """One-request-per-connection stdlib HTTP transport.
+#: what a reused connection raises when the peer closed it while it sat
+#: idle (a server restart or an idle timeout): ``RemoteDisconnected`` is
+#: a ``ConnectionResetError``; a broken pipe when the close raced the send
+_PEER_CLOSED = (ConnectionResetError, BrokenPipeError, ConnectionAbortedError)
 
-    A fresh connection per request costs a handshake but means a
-    server restart mid-stream needs no connection-state repair — the
-    next attempt simply connects to the new process.  ``host``/``port``
-    are plain attributes so a test can repoint a live client at a
-    restarted server.
+
+class HTTPTransport:
+    """Stdlib HTTP transport over one persistent HTTP/1.1 connection.
+
+    Every request reuses one keep-alive connection, so a batch pays for
+    its bytes instead of a TCP handshake and a new server thread.  The
+    connection opens on first use and again after any failed request,
+    after a reply that closes it, and when ``host`` or ``port`` change:
+    they are plain attributes, so a test can repoint a live client at a
+    restarted server.  A *reused* connection that the peer closed while
+    it sat idle (a server restart, the server's idle timeout) fails
+    before any answer; that request is retried once, at once, on a
+    fresh connection, and counted in ``ingest_client.reconnects``.  The
+    ledger dedupes the resend should the server have applied it.
+    :meth:`close` drops the connection.  The connection is not shared
+    safely between threads: give each thread its own transport (the
+    client is synchronous, one request in flight).
     """
 
     def __init__(self, host: str, port: int, timeout: float = 10.0) -> None:
         self.host = host
         self.port = int(port)
         self.timeout = float(timeout)
+        self._conn: Optional[http.client.HTTPConnection] = None
+        self._addr: Optional[Tuple[str, int]] = None
+
+    def _connection(self) -> http.client.HTTPConnection:
+        addr = (self.host, int(self.port))
+        if self._conn is None or self._addr != addr:
+            self.close()
+            self._conn = http.client.HTTPConnection(
+                addr[0], addr[1], timeout=self.timeout
+            )
+            self._addr = addr
+        return self._conn
+
+    def close(self) -> None:
+        """Close the connection; the next request opens a new one."""
+        if self._conn is not None:
+            self._conn.close()
+            self._conn = None
 
     def request(
         self,
@@ -113,20 +145,23 @@ class HTTPTransport:
         body: bytes = b"",
         headers: Optional[Dict[str, str]] = None,
     ) -> Response:
-        conn = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout
-        )
-        try:
-            conn.request(method, path, body=body, headers=headers or {})
-            resp = conn.getresponse()
-            data = resp.read()
+        while True:
+            conn = self._connection()
+            reused = conn.sock is not None
+            try:
+                conn.request(method, path, body=body, headers=headers or {})
+                resp = conn.getresponse()
+                data = resp.read()
+            except (OSError, http.client.HTTPException) as exc:
+                # the connection's state is unknown: never reuse it
+                self.close()
+                if reused and isinstance(exc, _PEER_CLOSED):
+                    obs.counter("ingest_client.reconnects").inc()
+                    continue
+                # refused/reset/timeout/BadStatusLine — all mean "no
+                # definitive answer"; socket.timeout is an OSError
+                raise TransportError(f"{type(exc).__name__}: {exc}") from exc
             return Response(resp.status, dict(resp.getheaders()), data)
-        except (OSError, http.client.HTTPException) as exc:
-            # ConnectionRefused/reset/timeout/BadStatusLine — all mean
-            # "no definitive answer"; socket.timeout is an OSError
-            raise TransportError(f"{type(exc).__name__}: {exc}") from exc
-        finally:
-            conn.close()
 
     def send_raw(
         self,

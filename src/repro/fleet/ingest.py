@@ -50,6 +50,7 @@ import os
 import threading
 import time
 from collections import OrderedDict
+from math import isfinite
 from pathlib import Path
 from time import perf_counter
 from typing import Dict, List, Optional, Tuple
@@ -80,6 +81,33 @@ log = obs.get_logger(__name__)
 #: wire field names for one NDJSON record object (kept short: ingest is
 #: the hot path and the encoding is symmetric with the client)
 _FIELDS = ("t", "loc", "sev", "msg", "et", "fid")
+_FIELD_SET = frozenset(_FIELDS)
+
+#: JSON spellings of the non-finite floats ``float.__repr__`` writes as
+#: ``nan``/``inf``/``-inf`` (``json.dumps`` allows them by default)
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+#: severity ladder value -> its wire text, and -> itself on decode; a
+#: lookup accepts the ints, bools and integral floats ``int`` would
+_SEVERITY_TEXT = {int(s): str(int(s)) for s in Severity}
+_SEVERITY_VALUE = {int(s): int(s) for s in Severity}
+
+_float_repr = float.__repr__
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _record_json(rec) -> str:
+    """One record as ``json.dumps`` writes its row dict (the general case)."""
+    row = {
+        "t": rec.timestamp,
+        "loc": rec.location,
+        "sev": int(rec.severity),
+        "msg": rec.message,
+    }
+    if rec.event_type is not None:
+        row["et"] = int(rec.event_type)
+    if rec.fault_id is not None:
+        row["fid"] = int(rec.fault_id)
+    return json.dumps(row, separators=(",", ":"))
 
 
 def encode_records(records) -> bytes:
@@ -88,22 +116,51 @@ def encode_records(records) -> bytes:
     Timestamps ride as JSON floats (``repr`` round-trip, no precision
     loss — unlike the ``%.3f`` text log format, which is why the wire
     uses NDJSON and not log lines) and severities as their integer
-    ladder values.
+    ladder values.  The output is byte-identical to ``json.dumps`` of
+    each record's ``{"t", "loc", "sev", "msg"[, "et"][, "fid"]}`` dict
+    with compact separators.  A record with a float timestamp, string
+    location and message and a ladder severity is formatted directly,
+    with the functions ``json`` itself uses for floats and strings;
+    any other record goes through ``json.dumps``.
     """
     lines = []
+    append = lines.append
     for rec in records:
-        row = {
-            "t": rec.timestamp,
-            "loc": rec.location,
-            "sev": int(rec.severity),
-            "msg": rec.message,
-        }
+        try:
+            stamp = _float_repr(rec.timestamp)
+            line = (
+                f'{{"t":{_NON_FINITE.get(stamp, stamp)},'
+                f'"loc":{_json_str(rec.location)},'
+                f'"sev":{_SEVERITY_TEXT[rec.severity]},'
+                f'"msg":{_json_str(rec.message)}'
+            )
+        except (TypeError, KeyError):
+            append(_record_json(rec))
+            continue
         if rec.event_type is not None:
-            row["et"] = int(rec.event_type)
+            line += f',"et":{int(rec.event_type)}'
         if rec.fault_id is not None:
-            row["fid"] = int(rec.fault_id)
-        lines.append(json.dumps(row, separators=(",", ":")))
+            line += f',"fid":{int(rec.fault_id)}'
+        append(line + "}")
     return ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8")
+
+
+def _convert_row(row: dict, lineno: int) -> tuple:
+    """Convert one decoded row field by field: the strict general case.
+
+    Accepts whatever ``float``, ``str`` and ``int`` accept and a ladder
+    severity allows; anything else raises ``ValueError`` naming the line.
+    """
+    try:
+        t = parse_timestamp(row["t"])
+        loc = str(row["loc"])
+        sev = int(Severity(int(row["sev"])))
+        msg = str(row["msg"])
+        et = None if row.get("et") is None else int(row["et"])
+        fid = None if row.get("fid") is None else int(row["fid"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"line {lineno}: {exc}") from None
+    return t, loc, sev, msg, et, fid
 
 
 def decode_batch(body: bytes, max_records: Optional[int] = None
@@ -116,6 +173,11 @@ def decode_batch(body: bytes, max_records: Optional[int] = None
     whole batch *before* anything is routed (400 to the client, nothing
     entered the fleet).  ``ValueError`` is the only exception raised.
     Rows land directly in columns with locations interned once.
+
+    A row shaped as :func:`encode_records` writes it (finite number
+    ``t``, string ``loc``/``msg``, ladder ``sev``, integer or absent
+    ``et``/``fid``) is taken as is; any other row goes through
+    :func:`_convert_row`, which accepts or rejects it field by field.
     """
     ts: List[float] = []
     lids: List[int] = []
@@ -125,33 +187,38 @@ def decode_batch(body: bytes, max_records: Optional[int] = None
     index: dict = {}
     ets: Optional[list] = None
     fids: Optional[list] = None
+    loads = json.loads
     text = body.decode("utf-8")
-    for i, line in enumerate(text.splitlines()):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line:
             continue
         if max_records is not None and len(ts) >= max_records:
             raise ValueError(f"batch exceeds {max_records} records")
         try:
-            row = json.loads(line)
+            row = loads(line)
         except (json.JSONDecodeError, RecursionError) as exc:
-            raise ValueError(f"line {i + 1}: bad JSON ({exc})") from None
-        if not isinstance(row, dict):
-            raise ValueError(f"line {i + 1}: expected an object")
-        unknown = set(row) - set(_FIELDS)
-        if unknown:
+            raise ValueError(f"line {lineno}: bad JSON ({exc})") from None
+        if type(row) is not dict:
+            raise ValueError(f"line {lineno}: expected an object")
+        if not row.keys() <= _FIELD_SET:
             raise ValueError(
-                f"line {i + 1}: unknown fields {sorted(unknown)}"
+                f"line {lineno}: unknown fields "
+                f"{sorted(row.keys() - _FIELD_SET)}"
             )
         try:
-            t = parse_timestamp(row["t"])
-            loc = str(row["loc"])
-            sev = int(Severity(int(row["sev"])))
-            msg = str(row["msg"])
-            et = None if row.get("et") is None else int(row["et"])
-            fid = None if row.get("fid") is None else int(row["fid"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"line {i + 1}: {exc}") from None
+            t = float(row["t"])
+            sev = _SEVERITY_VALUE[row["sev"]]
+            loc = row["loc"]
+            msg = row["msg"]
+            et = row.get("et")
+            fid = row.get("fid")
+            if not (isfinite(t) and type(loc) is str and type(msg) is str
+                    and (et is None or type(et) is int)
+                    and (fid is None or type(fid) is int)):
+                raise ValueError
+        except (KeyError, TypeError, ValueError, OverflowError):
+            t, loc, sev, msg, et, fid = _convert_row(row, lineno)
         lid = index.get(loc)
         if lid is None:
             lid = len(pool)
@@ -735,7 +802,8 @@ class IngestServer(TelemetryServer):
 
     Everything the read-only server offers (``/metrics``, ``/fleet``,
     ...) plus the write path; ``request_timeout_seconds`` guards every
-    connection (satellite: slowloris).
+    connection against slowloris clients and closes kept-alive ones
+    left idle that long.
     """
 
     def __init__(

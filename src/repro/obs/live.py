@@ -40,6 +40,14 @@ so a stalled or slowloris client releases its handler thread; timeouts
 are counted in ``telemetry.request_timeouts`` and answered 408 when the
 body stalls mid-read.
 
+Connections are HTTP/1.1 keep-alive, with Nagle's algorithm off: a
+client such as :class:`~repro.fleet.client.HTTPTransport` sends all its
+requests over one connection and one handler thread.  The socket
+timeout also closes a connection left idle between requests (not
+counted as a timeout), a reply that leaves declared body bytes unread
+closes its connection, and :meth:`TelemetryServer.stop` closes every
+open one.
+
 Unknown paths get a JSON 404 listing the available endpoints; clients
 hanging up mid-response (``BrokenPipeError``/``ConnectionResetError``)
 are counted in ``telemetry.client_disconnects`` instead of spraying
@@ -55,6 +63,7 @@ import errno
 import json
 import math
 import re
+import socket
 import sys
 import threading
 import time
@@ -371,9 +380,25 @@ def _history_query(history, params: Dict[str, List[str]]) -> Tuple[int, dict]:
 
 
 class _Handler(BaseHTTPRequestHandler):
-    """Routes the telemetry endpoints against the owning server."""
+    """Routes the telemetry endpoints against the owning server.
+
+    Connections are HTTP/1.1 keep-alive: one handler thread serves a
+    client's requests in turn until the client closes, the socket
+    timeout finds the connection idle, or a reply must close it
+    because bytes of the request's body were left unread (the next
+    "request" would be parsed out of them).
+    """
 
     server_version = "elsa-telemetry/1"
+    protocol_version = "HTTP/1.1"
+    # a reply is two writes (head, body): with Nagle on, the body waits
+    # for the ACK of the head, which the client delays by up to 40 ms
+    disable_nagle_algorithm = True
+
+    #: whether the current request's declared body has been read
+    _body_read = True
+    #: set between a served request and the next request line
+    _idle = False
 
     @property
     def timeout(self):  # consulted by StreamRequestHandler.setup
@@ -390,10 +415,29 @@ class _Handler(BaseHTTPRequestHandler):
         self.__dict__["_timeout_override"] = value
 
     def log_error(self, format: str, *args) -> None:  # noqa: A002
-        # handle_one_request reports a request-line read timeout here;
-        # count it (satellite: slowloris visibility), stay silent
-        if "timed out" in format:
+        # handle_one_request reports a request read timeout here; count
+        # it (slowloris visibility), stay silent.  A kept-alive
+        # connection that times out waiting for its next request line
+        # is an idle close, not a stalled client
+        if "timed out" in format and not self._idle:
             _counter("telemetry.request_timeouts").inc()
+
+    def parse_request(self) -> bool:
+        # a request line arrived: the connection is busy again
+        self._idle = False
+        return super().parse_request()
+
+    def _declares_body(self) -> bool:
+        """Whether the request's headers announce body bytes."""
+        if "Transfer-Encoding" in self.headers:
+            return True
+        raw = self.headers.get("Content-Length")
+        if raw is None:
+            return False
+        try:
+            return int(raw) != 0
+        except ValueError:
+            return True
 
     @staticmethod
     def _route_label(path: str) -> str:
@@ -412,6 +456,7 @@ class _Handler(BaseHTTPRequestHandler):
         _counter("telemetry.http_requests").labels(
             path=self._route_label(path)
         ).inc()
+        self._body_read = not self._declares_body()
         try:
             self._route(path, urllib.parse.parse_qs(parsed.query))
         except TimeoutError:
@@ -421,13 +466,17 @@ class _Handler(BaseHTTPRequestHandler):
         except (BrokenPipeError, ConnectionResetError):
             # the client hung up mid-response; routine, not an error
             _counter("telemetry.client_disconnects").inc()
+            self.close_connection = True
         except Exception as exc:  # never kill the serving thread
             _counter("telemetry.http_errors").inc()
+            self.close_connection = True
             try:
                 self._reply(500, f"error: {exc}\n",
                             "text/plain; charset=utf-8")
             except OSError:
                 pass
+        finally:
+            self._idle = True
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         parsed = urllib.parse.urlsplit(self.path)
@@ -436,6 +485,7 @@ class _Handler(BaseHTTPRequestHandler):
         _counter("telemetry.http_requests").labels(
             path=self._route_label(path)
         ).inc()
+        self._body_read = False
         try:
             self._post(path)
         except TimeoutError:
@@ -450,13 +500,17 @@ class _Handler(BaseHTTPRequestHandler):
                 pass
         except (BrokenPipeError, ConnectionResetError):
             _counter("telemetry.client_disconnects").inc()
+            self.close_connection = True
         except Exception as exc:
             _counter("telemetry.http_errors").inc()
+            self.close_connection = True
             try:
                 self._reply(500, f"error: {exc}\n",
                             "text/plain; charset=utf-8")
             except OSError:
                 pass
+        finally:
+            self._idle = True
 
     def _post(self, path: str) -> None:
         srv = self.server
@@ -475,14 +529,16 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             length = int(raw_length)
         except ValueError:
+            length = -1
+        if length < 0:
             self._reply(400, json.dumps(
                 {"error": f"bad Content-Length {raw_length!r}"}) + "\n")
             return
         max_bytes = int(getattr(api, "max_body_bytes", 8 << 20))
         if length > max_bytes:
             # refuse before reading: the payload cap must not cost a
-            # max-size read to enforce
-            self.close_connection = True
+            # max-size read to enforce (the unread body closes the
+            # connection)
             self._reply(413, json.dumps({
                 "error": "payload too large",
                 "max_bytes": max_bytes,
@@ -497,6 +553,7 @@ class _Handler(BaseHTTPRequestHandler):
                 "received": len(body),
             }) + "\n")
             return
+        self._body_read = True
         headers = {k.lower(): v for k, v in self.headers.items()}
         result = api.handle_request("POST", path, headers, body)
         if result is None:
@@ -608,9 +665,13 @@ class _Handler(BaseHTTPRequestHandler):
                content_type: str = "application/json",
                extra_headers: Optional[Dict[str, str]] = None) -> None:
         payload = body.encode("utf-8")
+        if not self._body_read:
+            self.close_connection = True
         self.send_response(code)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(payload)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         for key, value in (extra_headers or {}).items():
             self.send_header(key, str(value))
         self.end_headers()
@@ -630,6 +691,35 @@ class _QuietServer(ThreadingHTTPServer):
     """
 
     daemon_threads = True
+
+    def __init__(self, *args, **kwargs) -> None:
+        self._open: set = set()
+        self._open_lock = threading.Lock()
+        super().__init__(*args, **kwargs)
+
+    def process_request(self, request, client_address) -> None:
+        with self._open_lock:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._open_lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def close_connections(self) -> None:
+        """Shut every open connection down, idle keep-alives included.
+
+        Each handler thread then reads end-of-stream and exits; a
+        request in flight gets no answer, which its client retries.
+        """
+        with self._open_lock:
+            connections = list(self._open)
+        for sock in connections:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
 
     def handle_error(self, request, client_address) -> None:
         exc = sys.exc_info()[1]
@@ -807,10 +897,16 @@ class TelemetryServer:
         return self
 
     def stop(self) -> None:
-        """Shut the server down and join its thread."""
+        """Shut the server and its open connections down; join its thread.
+
+        Closing kept-alive connections matters for a restart on the same
+        port: left open, an old handler thread would go on answering its
+        client after a new server had bound the port.
+        """
         if self._httpd is None:
             return
         self._httpd.shutdown()
+        self._httpd.close_connections()
         self._httpd.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5.0)

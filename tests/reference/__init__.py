@@ -7,11 +7,14 @@ Each module holds the plain, one-thing-at-a-time form of a product path:
 * :mod:`.engines` — the record-at-a-time feed loop over per-anchor
   scalar detectors, and the whole-window batch engine (signal
   extraction, per-anchor ``process_array``, a scalar trigger walk,
-  ``LocationIndex`` lookups).
+  ``LocationIndex`` lookups);
+* :mod:`.codec` — the field-by-field NDJSON codec (``json.dumps`` per
+  record dict, ``parse_timestamp``/``Severity`` per decoded row).
 
 None of this runs in the product.  The equivalence suites
 (``tests/test_fast_path.py``, ``tests/test_columnar.py``,
-``tests/test_resilience_checkpoint.py``) and the legacy sides of
-``benchmarks/perf_smoke.py`` and ``benchmarks/bench_perf_kernels.py``
-compare the product against these oracles.
+``tests/test_resilience_checkpoint.py``, ``tests/test_ingest.py``) and
+the legacy sides of ``benchmarks/perf_smoke.py`` and
+``benchmarks/bench_perf_kernels.py`` compare the product against these
+oracles.
 """

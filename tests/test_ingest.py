@@ -6,24 +6,34 @@ overload soak, mid-stream server restart) lives in
 the deterministic unit and in-process integration pieces:
 
 * NDJSON codec — full-precision round trip, strict rejection (non-finite
-  timestamps and out-of-range numbers included), and a fuzz property:
-  ``decode_batch`` raises nothing but ``ValueError``;
+  timestamps and out-of-range numbers included), a fuzz property
+  (``decode_batch`` raises nothing but ``ValueError``) and oracle
+  properties against the field-by-field codec in
+  ``tests/reference/codec.py`` (same bytes out, same batch or same
+  error in);
 * :class:`IngestLedger` — apply/duplicate/gap semantics, persistence;
 * :class:`AdmissionController` — headroom-scaled token bucket;
 * :class:`IngestAPI` — the HTTP status contract (200-duplicate, 404,
   409-gap, 413, 429 + Retry-After, 503-draining) and graceful drain;
 * the slowloris guard (satellite: per-connection socket timeout +
   ``telemetry.request_timeouts``);
+* HTTP/1.1 keep-alive — one connection per transport, a restart on the
+  same port, replies that leave a body unread close the connection,
+  idle closes are not timeouts, and Nagle stays off;
 * severity-aware shedding accounting (satellite: mixed-severity bursts
   shed only non-severe, with per-severity counts);
 * kill-point stacking (satellite: repeated ``--kill`` specs on one
   tenant each fire once, so CLI-driven flapping → quarantine works).
 """
 
+import itertools
 import json
+import re
 import socket
+import sys
 import threading
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -43,9 +53,11 @@ from repro.fleet import (
     ShardState,
     hashed_tenant_key,
 )
+from repro.fleet.client import HTTPTransport
 from repro.fleet.ingest import decode_batch, encode_records, ingest_slos
 from repro.obs.live import TelemetryServer
 from repro.simulation.trace import LogRecord, Severity
+from tests.reference import codec as oracle
 
 
 @pytest.fixture(autouse=True)
@@ -182,6 +194,132 @@ class TestDecodeFuzz:
         except ValueError:
             return
         assert np.isfinite(batch.timestamps).all()
+
+
+# the codec against its field-by-field oracle
+
+#: floats at the edges of repr and of JSON: signed zero, the smallest
+#: subnormal, the largest magnitudes, and the non-finite spellings
+_EDGE_FLOATS = [-0.0, 5e-324, 1e308, -1.7976931348623157e308, 1e16, 0.1,
+                float("nan"), float("inf"), float("-inf")]
+#: quotes, backslashes, control, non-ASCII, a lone surrogate
+_EDGE_TEXT = ['', 'plain text', 'say "hi"', 'back\\slash\\',
+              'ctl\x00\x01\x1f\x7f\t\r\n', 'caf\u00e9 \u2028 \u2603',
+              '\U0001f600 astral', 'lone \ud800 surrogate']
+
+
+def _timestamps():
+    return st.one_of(
+        st.floats(),
+        st.sampled_from(_EDGE_FLOATS),
+        st.integers(-10**20, 10**20),
+        st.floats().map(np.float64),
+    )
+
+
+def _texts():
+    return st.one_of(st.text(max_size=12), st.sampled_from(_EDGE_TEXT))
+
+
+@st.composite
+def _records(draw):
+    """A record with any timestamp, text, severity and side channels."""
+    side = st.one_of(st.none(), st.integers(-10**20, 10**20),
+                     st.integers(0, 99).map(np.int64))
+    return LogRecord(
+        timestamp=draw(_timestamps()),
+        location=draw(_texts()),
+        severity=draw(st.one_of(st.sampled_from(list(Severity)),
+                                st.integers(-1, 5))),
+        message=draw(_texts()),
+        event_type=draw(side),
+        fault_id=draw(side),
+    )
+
+
+def _outcome(fn, *args):
+    """``("ok", value)`` or ``("error", type, message)``."""
+    try:
+        return ("ok", fn(*args))
+    except Exception as exc:  # noqa: BLE001 - the type is compared
+        return ("error", type(exc), str(exc))
+
+
+def _typed(values):
+    """A list with each value's type, so ``1 == 1.0`` does not pass."""
+    return None if values is None else [(type(v), v) for v in values]
+
+
+def _batch_fields(batch):
+    """Every column of a decoded batch, floats compared bit for bit."""
+    return (
+        batch.timestamps.dtype, batch.timestamps.tobytes(),
+        batch.loc_ids.dtype, batch.loc_ids.tobytes(),
+        batch.severities.dtype, batch.severities.tobytes(),
+        _typed(batch.messages), _typed(batch.loc_pool),
+        _typed(batch.event_types), _typed(batch.fault_ids),
+        batch._loc_index,
+    )
+
+
+def _decoded(body, decode=decode_batch):
+    return _outcome(lambda b: _batch_fields(decode(b)), body)
+
+
+class TestCodecOracle:
+    @given(st.lists(_records(), max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_encode_is_byte_identical_to_json_dumps(self, records):
+        assert _outcome(encode_records, records) == _outcome(
+            oracle.encode_records, records)
+
+    def test_encode_edge_cases_byte_identical(self):
+        """12 timestamps x 8 texts x 4 side-channel shapes x 2
+        severities: 768 records, encoded and decoded like the oracle."""
+        stamps = _EDGE_FLOATS + [7, np.float64(0.1), np.float64("-inf")]
+        records = [
+            LogRecord(timestamp=t, location=text, severity=sev,
+                      message=text[::-1], event_type=et, fault_id=fid)
+            for t, text, (et, fid), sev in itertools.product(
+                stamps, _EDGE_TEXT,
+                [(None, None), (3, None), (None, 9), (3, 9)],
+                [Severity.INFO, Severity.FAILURE],
+            )
+        ]
+        assert len(records) == 768
+        body = encode_records(records)
+        assert body == oracle.encode_records(records)
+        finite = [r for r in records if np.isfinite(r.timestamp)]
+        finite_body = encode_records(finite)
+        assert _decoded(finite_body) == _decoded(
+            finite_body, oracle.decode_batch)
+        assert _decoded(finite_body)[0] == "ok"
+        assert _decoded(body) == _decoded(body, oracle.decode_batch)
+
+    @given(st.one_of(_ndjson_bodies(), st.binary(max_size=120)))
+    @settings(max_examples=300, deadline=None)
+    def test_decode_matches_the_oracle(self, body):
+        assert _decoded(body) == _decoded(body, oracle.decode_batch)
+
+    @given(st.lists(_records(), max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_decode_of_encoded_bodies_matches_the_oracle(self, records):
+        outcome = _outcome(oracle.encode_records, records)
+        if outcome[0] == "ok":
+            body = outcome[1]
+            assert _decoded(body) == _decoded(body, oracle.decode_batch)
+
+    @pytest.mark.parametrize("field", [
+        {"sev": "1"}, {"sev": "true"}, {"sev": "2.0"}, {"sev": "2.5"},
+        {"sev": '" 3 "'}, {"t": '"12.5"'}, {"t": "true"}, {"loc": "7"},
+        {"msg": "null"}, {"et": "1.9"}, {"et": '"4"'}, {"fid": "true"},
+    ])
+    def test_decode_accepts_what_the_oracle_accepts(self, field):
+        """Values of another type than the encoder writes, that the
+        field-by-field conversion still takes."""
+        body = row(**field)
+        assert _decoded(body) == _decoded(body, oracle.decode_batch)
+        assert _decoded(body)[0] == "ok"
 
 
 # ---------------------------------------------------------------------------
@@ -837,3 +975,200 @@ class TestRequestTimeout:
             assert err.value.code == 413
         finally:
             server.stop()
+
+
+# ---------------------------------------------------------------------------
+# HTTP/1.1 keep-alive
+# ---------------------------------------------------------------------------
+
+class RecordingAPI(StubIngestAPI):
+    """The stub, keeping the handler thread that served each request."""
+
+    def __init__(self):
+        self.threads = []
+
+    def handle_request(self, method, path, headers, body):
+        self.threads.append(threading.current_thread())
+        return super().handle_request(method, path, headers, body)
+
+
+#: a request smuggled in a body: answered only if the server reads the
+#: body's bytes as the next request
+HIDDEN = b"GET /state HTTP/1.1\r\nHost: x\r\n\r\n"
+
+
+def read_until_closed(sock, limit=10.0):
+    """Everything the server sends until it closes the connection."""
+    deadline = time.monotonic() + limit
+    blob = b""
+    while time.monotonic() < deadline:
+        chunk = sock.recv(65536)
+        if not chunk:
+            return blob
+        blob += chunk
+    raise AssertionError(f"connection still open after {limit}s: {blob!r}")
+
+
+def status_lines(blob):
+    return re.findall(rb"^HTTP/1\.[01] (\d{3}) ", blob, re.M)
+
+
+class TestKeepAlive:
+    def _server(self, api, timeout=5.0, port=0):
+        return TelemetryServer(
+            port=port, ingest_fn=lambda: api,
+            request_timeout_seconds=timeout,
+        )
+
+    def test_one_transport_is_served_on_one_connection(self):
+        api = RecordingAPI()
+        with self._server(api) as server:
+            transport = HTTPTransport(server.host, server.port, timeout=5.0)
+            try:
+                for i in range(5):
+                    resp = transport.request("POST", "/ingest/t0", b"x" * i)
+                    assert resp.status == 200
+                    assert resp.json() == {"ok": True, "bytes": i}
+            finally:
+                transport.close()
+        # the threads are kept alive by the list, so one identity means
+        # one handler thread, which means one connection
+        assert len(api.threads) == 5
+        assert len({id(t) for t in api.threads}) == 1
+
+    def test_stop_closes_connections_so_a_restart_gets_the_next_request(
+            self):
+        first, second = RecordingAPI(), RecordingAPI()
+        server = self._server(first).start()
+        port = server.port
+        transport = HTTPTransport(server.host, port, timeout=5.0)
+        try:
+            assert transport.request("POST", "/ingest/t0", b"a").status == 200
+            server.stop()
+            with self._server(second, port=port):
+                resp = transport.request("POST", "/ingest/t0", b"bb")
+            assert resp.status == 200 and resp.json()["bytes"] == 2
+        finally:
+            transport.close()
+            server.stop()
+        assert len(first.threads) == 1 and len(second.threads) == 1
+        assert obs.counter("ingest_client.reconnects").value == 1
+
+    @pytest.mark.parametrize("mounted, request_head, status", [
+        # no ingest API: 405 before the body is read
+        (False, b"POST /ingest/t0 HTTP/1.1\r\nContent-Length: %d\r\n"
+         % len(HIDDEN), b"405"),
+        # no Content-Length: the body's end is unknown
+        (True, b"POST /ingest/t0 HTTP/1.1\r\n", b"411"),
+        (True, b"POST /ingest/t0 HTTP/1.1\r\nContent-Length: 3x\r\n",
+         b"400"),
+        (True, b"POST /ingest/t0 HTTP/1.1\r\nContent-Length: -5\r\n",
+         b"400"),
+        (True, b"POST /ingest/t0 HTTP/1.1\r\nContent-Length: %d\r\n"
+         % (StubIngestAPI.max_body_bytes + 1), b"413"),
+        # a GET's body is never read
+        (True, b"GET /health HTTP/1.1\r\nContent-Length: %d\r\n"
+         % len(HIDDEN), b"200"),
+    ])
+    def test_reply_leaving_a_body_unread_closes_the_connection(
+            self, mounted, request_head, status):
+        api = StubIngestAPI() if mounted else None
+        with self._server(api, timeout=1.0) as server:
+            sock = socket.create_connection(
+                (server.host, server.port), timeout=5)
+            try:
+                sock.sendall(request_head + b"Host: x\r\n\r\n" + HIDDEN)
+                blob = read_until_closed(sock)
+            finally:
+                sock.close()
+        assert status_lines(blob) == [status]
+        assert b"Connection: close" in blob
+
+    def test_idle_close_is_not_a_request_timeout(self):
+        with self._server(StubIngestAPI(), timeout=0.2) as server:
+            sock = socket.create_connection(
+                (server.host, server.port), timeout=5)
+            try:
+                sock.sendall(b"POST /ingest/t0 HTTP/1.1\r\nHost: x\r\n"
+                             b"Content-Length: 2\r\n\r\nok")
+                # answered, kept open, then closed once idle for 0.2 s
+                blob = read_until_closed(sock)
+            finally:
+                sock.close()
+        assert status_lines(blob) == [b"200"]
+        assert b"Connection: close" not in blob
+        assert obs.counter("telemetry.request_timeouts").value == 0
+
+    @pytest.mark.parametrize("after_one", [False, True])
+    def test_stalled_request_still_counts(self, after_one):
+        """A silent new connection, or a second request whose headers
+        never end, is a stalled client whichever request it is."""
+        with self._server(StubIngestAPI(), timeout=0.2) as server:
+            sock = socket.create_connection(
+                (server.host, server.port), timeout=5)
+            try:
+                if after_one:
+                    sock.sendall(b"POST /ingest/t0 HTTP/1.1\r\nHost: x\r\n"
+                                 b"Content-Length: 2\r\n\r\nok"
+                                 b"POST /ingest/t0 HTTP/1.1\r\nHost: x\r\n")
+                read_until_closed(sock)
+            finally:
+                sock.close()
+        assert obs.counter("telemetry.request_timeouts").value == 1
+
+    def test_concurrent_clients_each_keep_their_connection(self):
+        """Clients outnumbering the cores, switching threads often: each
+        is served by one handler thread of its own, and every connection
+        leaves the server's open set once its client closes it."""
+        api = RecordingAPI()
+        clients, writes = 6, 10
+        errors = []
+
+        def client(n, server):
+            transport = HTTPTransport(server.host, server.port, timeout=5.0)
+            try:
+                for _ in range(writes):
+                    resp = transport.request("POST", "/ingest/t0", b"x" * n)
+                    assert resp.status == 200
+                    assert resp.json()["bytes"] == n
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+            finally:
+                transport.close()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with self._server(api) as server:
+                threads = [threading.Thread(target=client, args=(n, server))
+                           for n in range(clients)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                assert not any(t.is_alive() for t in threads)
+                deadline = time.monotonic() + 5.0
+                while server._httpd._open and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert not server._httpd._open
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors
+        served = Counter(api.threads)
+        assert sorted(served.values()) == [writes] * clients
+
+    def test_nagle_is_off(self):
+        """With Nagle on, each reply's body waits out the client's
+        delayed ACK (~40 ms); 30 writes must take nowhere near that."""
+        with self._server(StubIngestAPI()) as server:
+            transport = HTTPTransport(server.host, server.port, timeout=5.0)
+            try:
+                transport.request("POST", "/ingest/t0", b"warm")
+                t0 = time.perf_counter()
+                for _ in range(30):
+                    resp = transport.request("POST", "/ingest/t0", b"x" * 64)
+                    assert resp.status == 200
+                elapsed = time.perf_counter() - t0
+            finally:
+                transport.close()
+        assert elapsed < 30 * 0.040 / 2, elapsed
