@@ -3,12 +3,15 @@
 The online phase must keep its analysis window small (section VI.A), so
 the per-kernel throughputs are tracked as benchmarks in their own right:
 message classification (online HELO), signal extraction, the causal
-median filter, outlier-train correlation, and the ingest wire's NDJSON
-encode and decode.  These are the numbers to
+median filter and the detector bank (its ``ingest``-shaped steps and
+its checkpoint text), outlier-train correlation, and the ingest wire's
+NDJSON encode and decode.  These are the numbers to
 watch when modifying the hot paths — the repository's equivalent of the
 paper's "having a low execution time is a requirement for the on-line
 modules".
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -19,7 +22,10 @@ from repro.helo.tokenizer import raw_tokens
 from repro.signals.bank import VectorizedDetectorBank
 from repro.signals.crosscorr import correlate_outlier_trains
 from repro.signals.extraction import extract_signals
-from repro.signals.outliers import OnlineOutlierDetector
+from repro.signals.outliers import (
+    OnlineOutlierDetector,
+    OnlinePeriodicDetector,
+)
 from tests.reference import codec as codec_oracle
 from tests.reference.matching import observe_linear
 
@@ -166,6 +172,78 @@ def test_perf_detector_bank_tick_many(benchmark):
 
     flags, _corrected = benchmark.pedantic(scan, rounds=2, iterations=1)
     assert flags.shape == x.shape
+
+
+#: an ``ingest`` tenant's bank: nine quiet median anchors, one with a
+#: wider threshold and one periodic anchor; a day-long window; 4,535
+#: samples (the tenant's whole stream, so every block is insert-only)
+#: fed in shard steps of 110 samples, over five tenants (~205 calls)
+INGEST_SAMPLES, INGEST_STEP, INGEST_TENANTS = 4535, 110, 5
+
+
+def _ingest_detectors():
+    return [
+        OnlineOutlierDetector(threshold=t, window=8640, warmup=30)
+        for t in [0.5] * 9 + [1.5]
+    ] + [OnlinePeriodicDetector(period=360, amplitude=1.0)]
+
+
+def _ingest_signals(seed):
+    """Sparse anchor counts: 1-3 in 0.2% of samples, one 40-sample
+    burst, and a beat every 360 samples on the periodic anchor."""
+    rng = np.random.default_rng(seed)
+    x = np.zeros((11, INGEST_SAMPLES))
+    hits = rng.random((10, INGEST_SAMPLES)) < 0.002
+    x[:10][hits] = rng.integers(1, 4, int(hits.sum()))
+    t = int(rng.integers(100, INGEST_SAMPLES - 40))
+    x[int(rng.integers(0, 10)), t:t + 40] = rng.integers(5, 40, 40)
+    x[10, ::360] = 1.0
+    return x
+
+
+def test_perf_detector_bank_ingest_steps(benchmark):
+    """The insert-only kernel as ``ingest`` drives it: every tenant's
+    bank stepped ~110 samples a call over its whole stream, equal to
+    the scalar detectors."""
+    streams = [_ingest_signals(seed) for seed in range(INGEST_TENANTS)]
+
+    def scan():
+        out = []
+        for x in streams:
+            bank = VectorizedDetectorBank(_ingest_detectors())
+            steps = [
+                bank.tick_many(x[:, a:a + INGEST_STEP])
+                for a in range(0, INGEST_SAMPLES, INGEST_STEP)
+            ]
+            out.append(tuple(
+                np.concatenate(part, axis=1) for part in zip(*steps)
+            ))
+        return out
+
+    results = benchmark.pedantic(scan, rounds=3, iterations=1)
+    assert any(flags.any() for flags, _ in results)
+    for x, (flags, corrected) in zip(streams, results):
+        for i, det in enumerate(_ingest_detectors()):
+            ref = det.process_array(x[i])
+            np.testing.assert_array_equal(flags[i], ref.flags)
+            np.testing.assert_array_equal(corrected[i], ref.corrected)
+
+
+def test_perf_detector_bank_encode(benchmark):
+    """One checkpoint's detector block: ``state_dicts`` and
+    ``json.dumps`` of an ``ingest`` tenant's bank at the end of its
+    stream (4,535-sample rings), equal to the scalar detectors'."""
+    x = _ingest_signals(0)
+    bank = VectorizedDetectorBank(_ingest_detectors())
+    bank.tick_many(x)
+    scalars = _ingest_detectors()
+    for i, det in enumerate(scalars):
+        det.process_array(x[i])
+
+    text = benchmark.pedantic(
+        lambda: json.dumps(bank.state_dicts()), rounds=20, iterations=1
+    )
+    assert text == json.dumps([d.state_dict() for d in scalars])
 
 
 def test_perf_streaming_end_to_end(bg, elsa_bg, benchmark):

@@ -402,17 +402,14 @@ def cmd_predict(args: argparse.Namespace) -> int:
             # explicit stream + predictor (rather than ``elsa.predict``)
             # so the flight recorder stays reachable afterwards
             stream = elsa.make_stream(records, args.t_start, t_end)
-            predictor = elsa.hybrid_predictor()
-            predictions = predictor.run(stream)
-            tripped = []
+            predictor = elsa.streaming_predictor(args.t_start, t_end)
             if faults is not None:
                 from repro.prediction.scoreboard import OnlineScoreboard
 
                 scoreboard = OnlineScoreboard(faults=faults)
-                for pred in predictions:
-                    scoreboard.record_prediction(pred)
-                scoreboard.advance(t_end)
-                scoreboard.finalize()
+                predictor.attach_scoreboard(scoreboard)
+            predictions = predictor.run(stream)
+            tripped = []
         out = {"predictions": [_prediction_to_dict(p) for p in predictions]}
         Path(args.out).write_text(json.dumps(out, indent=1))
         _emit(f"{len(predictions)} predictions written to {args.out}")

@@ -46,7 +46,9 @@ requests over one connection and one handler thread.  The socket
 timeout also closes a connection left idle between requests (not
 counted as a timeout), a reply that leaves declared body bytes unread
 closes its connection, and :meth:`TelemetryServer.stop` closes every
-open one.
+open one.  A 413 is followed by a bounded read of the refused body
+(``DISCARD_MAX_BYTES``, one request timeout) before the close, so a
+client still sending it gets the 413 rather than a reset.
 
 Unknown paths get a JSON 404 listing the available endpoints; clients
 hanging up mid-response (``BrokenPipeError``/``ConnectionResetError``)
@@ -379,6 +381,12 @@ def _history_query(history, params: Dict[str, List[str]]) -> Tuple[int, dict]:
     return 200, out
 
 
+#: most bytes of a refused (413) body read and dropped before closing,
+#: so that its reply reaches a client still sending (see
+#: ``_Handler._discard_body``)
+DISCARD_MAX_BYTES = 64 << 20
+
+
 class _Handler(BaseHTTPRequestHandler):
     """Routes the telemetry endpoints against the owning server.
 
@@ -543,6 +551,7 @@ class _Handler(BaseHTTPRequestHandler):
                 "error": "payload too large",
                 "max_bytes": max_bytes,
             }) + "\n")
+            self._discard_body(length)
             return
         body = self.rfile.read(length) if length > 0 else b""
         if len(body) < length:
@@ -562,6 +571,39 @@ class _Handler(BaseHTTPRequestHandler):
         code, payload, extra = result
         self._reply(code, json.dumps(payload, default=str, indent=1) + "\n",
                     extra_headers=extra)
+
+    def _discard_body(self, length: int) -> None:
+        """Let a refused body's reply reach its client, then hang up.
+
+        Closing a socket with unread bytes makes the kernel answer them
+        with a reset, which can destroy the reply before the client has
+        read it: a client still sending its body would see a broken
+        pipe and retry, never learning the answer.  So the reply is
+        followed by a shut-down write side, and the body is read in
+        chunks and dropped until it ends, ``length`` or
+        :data:`DISCARD_MAX_BYTES` bytes are read, or one request
+        timeout has passed; the handler then closes the connection.
+        """
+        try:
+            self.connection.shutdown(socket.SHUT_WR)
+        except OSError:
+            return
+        timeout = self.timeout
+        deadline = None if timeout is None else time.monotonic() + timeout
+        left = min(length, DISCARD_MAX_BYTES)
+        while left > 0:
+            if deadline is not None:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    return
+                self.connection.settimeout(remaining)
+            try:
+                chunk = self.rfile.read1(min(left, 1 << 16))
+            except OSError:  # timed out or reset: stop either way
+                return
+            if not chunk:
+                return
+            left -= len(chunk)
 
     def _not_found(self, path: str, api=None) -> None:
         endpoints = list(ENDPOINTS)

@@ -313,6 +313,11 @@ class HybridPredictor:
         self.flight_recorder = FlightRecorder()
         #: optional graceful-degradation ladder (see :meth:`attach_ladder`)
         self.ladder = None
+        #: optional live self-evaluation / drift watchers (see
+        #: :mod:`repro.prediction.scoreboard`); both are advisory and
+        #: never change a prediction.
+        self.scoreboard = None
+        self.drift_detector = None
         if t_start is not None:
             self._init_stream(t_start, t_end, sampling_period)
 
@@ -491,8 +496,9 @@ class HybridPredictor:
         """Run the online phase over a test stream; returns predictions.
 
         Starts a stream over ``stream``'s window on this predictor (the
-        model, breakers, ladder and flight recorder carry over; stream
-        state starts empty), columnarizes the window's records once,
+        model, breakers, ladder, flight recorder and any attached
+        scoreboard or drift detector carry over; stream state starts
+        empty), columnarizes the window's records once,
         feeds them stable-sorted by sample index in ``RUN_CHUNK``-record
         slices, and finishes.
         """
@@ -549,8 +555,8 @@ class HybridPredictor:
     def _init_stream(
         self, t_start: float, t_end: float, sampling_period: float
     ) -> None:
-        """Start a stream over ``[t_start, t_end)``: fresh detectors,
-        empty stream state and no watchers attached."""
+        """Start a stream over ``[t_start, t_end)``: fresh detectors and
+        empty stream state; attached watchers stay attached."""
         if t_end <= t_start:
             raise ValueError("empty stream window")
         self.t_start = float(t_start)
@@ -579,11 +585,6 @@ class HybridPredictor:
         #: anchors whose detection degraded in this stream (error
         #: boundary), each once, in first-degraded order
         self.degraded_anchors: List[int] = []
-        #: optional live self-evaluation / drift watchers (see
-        #: :mod:`repro.prediction.scoreboard`); both are advisory and
-        #: never change a prediction.
-        self.scoreboard = None
-        self.drift_detector = None
 
     # -- detectors and chains ------------------------------------------------
 

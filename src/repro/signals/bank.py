@@ -56,6 +56,7 @@ from repro.signals.outliers import (
     OnlineOutlierDetector,
     OnlinePeriodicDetector,
     _DualWindow,
+    encode_ring,
     restore_detector,
 )
 
@@ -181,8 +182,7 @@ class VectorizedDetectorBank:
         )
 
     def _on_grid(self, v: np.ndarray) -> np.ndarray:
-        q = v.astype(np.int64, copy=False)
-        return (v >= 0) & (v < self.grid_limit) & (q == v)
+        return (v >= 0) & (v < self.grid_limit) & (np.floor(v) == v)
 
     # -- demotion ------------------------------------------------------------
 
@@ -198,8 +198,8 @@ class VectorizedDetectorBank:
         det._dual = _DualWindow.from_state(
             {
                 "capacity": W,
-                "raw": self._raw_ring[row, raw_idx].tolist(),
-                "corr": self._corr_ring[row, corr_idx].tolist(),
+                "raw": self._raw_ring[row, raw_idx],
+                "corr": self._corr_ring[row, corr_idx],
             }
         )
         self._demoted[row] = det
@@ -319,6 +319,10 @@ class VectorizedDetectorBank:
                 corrected[row, j] = cv
         return flags, corrected
 
+    #: cells (ticks x columns) of one probe table; live rows whose value
+    #: ranges add up past it are probed in groups, bounding the table
+    PROBE_CELLS = 1 << 20
+
     def _tick_median_rows_insert_only(
         self,
         v: np.ndarray,
@@ -329,7 +333,8 @@ class VectorizedDetectorBank:
         c0: int,
         m: int,
     ) -> None:
-        """Exact per-row kernel for insert-only blocks (no evictions).
+        """Exact kernel for insert-only blocks (no evictions), every row
+        in one pass.
 
         The flag test ``|va - med| > thr`` never needs the median itself
         — only whether it falls outside ``[va - thr, va + thr]``, which
@@ -339,92 +344,152 @@ class VectorizedDetectorBank:
         ``med > va + thr  <=>  C[j, floor(va + thr)] <= k_j`` and
         ``med < va - thr  <=>  C[j, ceil(va - thr) - 1] > k_j``.
         In an insert-only block ``C[j, g]`` is the base histogram plus
-        this block's own pushes, so one per-row ``(m, G_row)``
-        double-cumsum table answers every probe — ``G_row`` being the
-        row's value range, far below the shared grid.  Actual medians
-        are computed only at flagged ticks (rare); each correction
-        shifts later counts by ±1, an O(m) probe update, after which the
-        remaining flags are re-decided — reproducing the sequential
-        semantics exactly.
+        this block's own pushes: raw ones at ticks ``<= j`` and corrected
+        ones at ticks ``< j``, optimistically equal to the raw values.
+        One probe table holds every row's pushes side by side, each row
+        in columns spanning only its own value range, and its double
+        cumulative sum answers every probe of every row at once
+        (:meth:`_probe_insert_only`).
 
-        Rows commit incrementally (rings extended in place, histogram
-        bumped by this block's pushes); the caller advances the shared
-        lengths/seen counters once per block.
+        Most anchors are silent most of the time, and a row whose window
+        median stays 0 needs no probes: its flags are ``va > thr`` and
+        its corrections are 0.  The median provably stays 0 through the
+        block when ``hist[0] + 1 - z > k_0``, ``z`` being the block's
+        nonzero samples: a tick whose sample is 0 pushes a raw 0 and a
+        corrected 0 (a zero sample is never flagged while the median is
+        0), so by tick ``j`` at least ``j + 1 - z`` zeros were added and
+        bin 0 holds more than ``k_0 + j = k_j`` values.  An all-zero
+        block on a window whose median is 0 is the case ``z = 0``: it
+        cannot flag, and only its bin 0 grows, by ``2m``.
+
+        On the other rows actual medians are computed only at flagged
+        ticks (rare), row by row: each correction shifts that row's later
+        counts by ±1, an O(m) probe update, after which its remaining
+        flags are re-decided — reproducing the sequential semantics
+        exactly.
+
+        The rows commit in place (rings extended, histograms bumped by
+        one offset ``bincount`` of the block's pushes); the caller
+        advances the shared lengths/seen counters once per block.
         """
         G = self.grid_limit
+        va = v[act]
+        co = va
         js = np.arange(m)
         warm = (self._seen + js) >= self.warmup
-        any_warm = bool(warm.any())
         k = (r0 + c0 + 2 * js + 1) >> 1
-        for row in act.tolist():
-            va = v[row]
-            q = va.astype(np.int64)
-            co = va  # copied lazily at the first flag
-            cq = q
-            if any_warm:
-                thr = float(self._thr[row])
-                ghi = np.floor(va + thr).astype(np.int64)
-                glo = np.ceil(va - thr).astype(np.int64) - 1
-                glo_ok = glo >= 0
-                # probe bins above the row's own values count the whole
-                # block, so the table never needs more columns than Gq
-                Gq = int(q.max()) + 1
-                ghi_ix = np.minimum(ghi, Gq - 1)
-                glo_ix = np.minimum(np.maximum(glo, 0), Gq - 1)
-                one = np.zeros((m, Gq), dtype=np.int32)
-                one[js, q] = 1
-                # A[j, g] = this block's raw pushes <= g at ticks <= j
-                A = one.cumsum(axis=0).cumsum(axis=1)
-                hist_row = self._hist[row]
-                base_cum = hist_row.cumsum()
-                # combined count at the probe bins: base window + raw
-                # pushes (ticks <= j) + corrected pushes (ticks < j,
-                # optimistically equal to the raw values)
-                Chi = base_cum[np.minimum(ghi, G - 1)] + A[js, ghi_ix]
-                Chi[1:] += A[js[:-1], ghi_ix[1:]]
-                Clo = base_cum[glo_ix] + A[js, glo_ix]
-                Clo[1:] += A[js[:-1], glo_ix[1:]]
-                flag = warm & ((Chi <= k) | (glo_ok & (Clo > k)))
+        hist = self._hist[act]
+        thr = self._thr[act]
+        live = js[:0]
+        if warm.any():
+            zero = hist[:, 0] + 1 - np.count_nonzero(va, axis=1) > k[0]
+            fl = (va > thr[:, None]) & warm & zero[:, None]
+            flags[act] = fl
+            co = np.where(fl, 0.0, va)
+            live = np.flatnonzero(~zero)
+        q = va[live].astype(np.int64)
+        width = q.max(axis=1, initial=0) + 1
+        ends = np.cumsum(width)
+        cap = max(1, self.PROBE_CELLS // m)
+        a = 0
+        while a < live.size:
+            b = max(a + 1, int(np.searchsorted(
+                ends, ends[a] - width[a] + cap, side="right"
+            )))
+            rows = live[a:b]
+            flag, chi, clo, ghi, glo = self._probe_insert_only(
+                va[rows], q[a:b], hist[rows], width[a:b], thr[rows], warm, k
+            )
+            for i in np.flatnonzero(flag.any(axis=1)).tolist():
+                r = int(rows[i])
+                qr, fr, hi, lo = q[a + i], flag[i], ghi[i], glo[i]
+                j = -1
                 while True:
-                    nz = np.flatnonzero(flag)
+                    nz = np.flatnonzero(fr[j + 1:])
                     if not nz.size:
                         break
-                    j = int(nz[0])
-                    if co is va:
-                        co = va.copy()
-                        cq = q.copy()
+                    j += 1 + int(nz[0])
                     # exact median at the flagged tick only
-                    hj = (
-                        hist_row
-                        + np.bincount(q[: j + 1], minlength=G)
-                        + np.bincount(cq[:j], minlength=G)
-                    )
-                    med = int(
-                        np.searchsorted(hj.cumsum(), k[j], side="right")
-                    )
-                    flags[row, j] = True
-                    co[j] = med
-                    cq[j] = med
-                    flag[j] = False
-                    if j + 1 < m:
-                        # the corrected push at j replaces the
-                        # optimistic raw one in every later tick's count
-                        Chi[j + 1:] += (med <= ghi[j + 1:]).astype(
+                    hj = hist[r] + np.bincount(
+                        np.concatenate([qr[: j + 1], co[r, :j]]).astype(
                             np.int64
-                        ) - (q[j] <= ghi[j + 1:])
-                        Clo[j + 1:] += (med <= glo[j + 1:]).astype(
-                            np.int64
-                        ) - (q[j] <= glo[j + 1:])
-                        flag[j + 1:] = warm[j + 1:] & (
-                            (Chi[j + 1:] <= k[j + 1:])
-                            | (glo_ok[j + 1:] & (Clo[j + 1:] > k[j + 1:]))
-                        )
-            corrected[row] = co
-            self._raw_ring[row, r0: r0 + m] = va
-            self._corr_ring[row, c0: c0 + m] = co
-            self._hist[row] += np.bincount(q, minlength=G) + np.bincount(
-                cq, minlength=G
-            )
+                        ),
+                        minlength=G,
+                    )
+                    med = int(np.searchsorted(hj.cumsum(), k[j], "right"))
+                    flags[act[r], j] = True
+                    co[r, j] = med
+                    if j + 1 == m:
+                        break
+                    # the corrected push at j replaces the optimistic raw
+                    # one in every later tick's count
+                    t = slice(j + 1, None)
+                    chi[i, t] += (med <= hi[t]).astype(np.int64) - (
+                        qr[j] <= hi[t]
+                    )
+                    clo[i, t] += (med <= lo[t]).astype(np.int64) - (
+                        qr[j] <= lo[t]
+                    )
+                    fr[t] = warm[t] & (
+                        (chi[i, t] <= k[t])
+                        | ((lo[t] >= 0) & (clo[i, t] > k[t]))
+                    )
+            a = b
+        corrected[act] = co
+        self._raw_ring[act, r0: r0 + m] = va
+        self._corr_ring[act, c0: c0 + m] = co
+        pushed = np.concatenate([va, co], axis=1).astype(np.intp)
+        pushed += (act * G)[:, None]
+        self._hist += np.bincount(
+            pushed.ravel(), minlength=self._hist.size
+        ).reshape(self._hist.shape)
+
+    @staticmethod
+    def _probe_insert_only(
+        va: np.ndarray,
+        q: np.ndarray,
+        hist: np.ndarray,
+        width: np.ndarray,
+        thr: np.ndarray,
+        warm: np.ndarray,
+        k: np.ndarray,
+    ) -> Tuple[np.ndarray, ...]:
+        """Optimistic flags and probe counts of ``q``'s rows in one table.
+
+        Returns ``(flag, chi, clo, ghi, glo)``, each ``(rows, m)``: the
+        flags as if no tick before were corrected, the combined counts
+        at the upper and lower probe bins, and those bins.  Row ``i``'s
+        pushes land in table columns ``off[i] + [0, width[i])``; a probe
+        above a row's largest value reads its last column, which already
+        counts all of its pushes.
+        """
+        n, m = q.shape
+        G = hist.shape[1]
+        js = np.arange(m)
+        ri = np.arange(n)[:, None]
+        off = (np.cumsum(width) - width)[:, None]
+        top = (width - 1)[:, None]
+        ghi = np.floor(va + thr[:, None]).astype(np.int64)
+        glo = np.ceil(va - thr[:, None]).astype(np.int64) - 1
+        pushes = np.zeros((m, int(width.sum())), dtype=np.int32)
+        pushes[js, off + q] = 1
+        # T[j, c]: pushes at ticks <= j plus pushes at ticks < j, in
+        # columns <= c; the columns of the rows before row i add
+        # i * (2j + 1) to every probe of row i
+        T = pushes.cumsum(axis=0, dtype=np.int32)
+        T[1:] = T[1:] + T[:-1]
+        T = T.cumsum(axis=1, dtype=np.int32)
+        before = ri * (2 * js + 1)
+        cum = hist.cumsum(axis=1)
+        chi = (
+            cum[ri, np.minimum(ghi, G - 1)]
+            + T[js, off + np.minimum(ghi, top)]
+            - before
+        )
+        lo = np.maximum(glo, 0)
+        clo = cum[ri, lo] + T[js, off + np.minimum(lo, top)] - before
+        flag = warm & ((chi <= k) | ((glo >= 0) & (clo > k)))
+        return flag, chi, clo, ghi, glo
 
     def _tick_median_many_exact(
         self,
@@ -604,8 +669,10 @@ class VectorizedDetectorBank:
                     "seen": self._seen,
                     "dual": {
                         "capacity": W,
-                        "raw": self._raw_ring[row, raw_idx].tolist(),
-                        "corr": self._corr_ring[row, corr_idx].tolist(),
+                        "raw": encode_ring(self._raw_ring[row, raw_idx]),
+                        "corr": encode_ring(
+                            self._corr_ring[row, corr_idx]
+                        ),
                     },
                 }
         for row, i in enumerate(self._per_ix):

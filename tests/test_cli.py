@@ -365,6 +365,40 @@ class TestLiveTelemetryFlags:
         out = capsys.readouterr().out
         assert "scoreboard: precision=" in out
 
+    def test_predict_truth_scores_alike_on_every_route(
+        self, workdir, tmp_path, capsys, monkeypatch
+    ):
+        """The whole-window route scores live through an attached
+        scoreboard, as the chunked routes do: both print the same
+        summary and end on the same snapshot."""
+        from repro.prediction import scoreboard as sb
+
+        boards = []
+
+        class Recording(sb.OnlineScoreboard):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                boards.append(self)
+
+        monkeypatch.setattr(sb, "OnlineScoreboard", Recording)
+        d, log, truth, model, preds, meta = workdir
+        summaries = []
+        for extra in ([], ["--batch-size", "4096"]):
+            rc = main([
+                "predict", "--model", str(model), "--log", str(log),
+                "--t-start", str(meta["train_end"]),
+                "--out", str(tmp_path / "p.json"), "--truth", str(truth),
+            ] + extra)
+            assert rc == 0
+            summaries.append([
+                line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("scoreboard:")
+            ])
+        assert len(boards) == 2
+        assert summaries[0] == summaries[1]
+        assert "(13/15 correct" in summaries[0][0]
+        assert boards[0].snapshot() == boards[1].snapshot()
+
     def test_predict_serves_and_dumps_provenance(
         self, workdir, tmp_path, capsys
     ):

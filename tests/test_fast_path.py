@@ -12,7 +12,7 @@ mid-stream and shuffled whole-window streams through
 import copyreg
 import json
 import pickle
-from collections import Counter
+from collections import Counter, deque
 
 import numpy as np
 import pytest
@@ -25,6 +25,8 @@ from repro.signals.bank import BankLayoutError, VectorizedDetectorBank
 from repro.signals.outliers import (
     OnlineOutlierDetector,
     OnlinePeriodicDetector,
+    _DualWindow,
+    decode_ring,
     restore_detector,
 )
 from tests.reference.engines import batch_predict, feed_scalar, scalar_engine
@@ -266,6 +268,76 @@ def _assert_same_step(scalars, bank, column):
         assert float(corrected[i]) == co
 
 
+@st.composite
+def _insert_only_case(draw):
+    """Eight or more anchors of mixed shape, chunk sizes, and a window
+    that only the last chunk crosses.
+
+    Rows: all zero; sparse spikes that flag several times per chunk;
+    large counts near the grid's top; small noisy counts; a level shift
+    that moves the window median off 0 and back; and noisy counts with
+    one off-grid value (a fraction or a count past the grid) that
+    demotes the row mid-stream.  Thresholds mix per row.
+    """
+    chunks = draw(st.lists(st.integers(1, 30), min_size=2, max_size=6))
+    n = sum(chunks)
+    window = draw(st.integers(max(n - chunks[-1], 1), n - 1))
+    warmup = draw(st.integers(0, 6))
+
+    def ints(lo, hi):
+        return draw(st.lists(st.integers(lo, hi), min_size=n, max_size=n))
+
+    spikes = [0] * n
+    for t in draw(st.lists(st.integers(0, n - 1), max_size=12)):
+        spikes[t] = draw(st.integers(1, 9))
+    start = draw(st.integers(0, n - 1))
+    stop = draw(st.integers(start, n))
+    level = [
+        draw(st.integers(3, 8)) if start <= t < stop else 0
+        for t in range(n)
+    ]
+    off_grid = ints(0, 12)
+    off_grid[draw(st.integers(0, n - 1))] = draw(
+        st.sampled_from([2.5, 0.25, 700.0])
+    )
+    streams = [
+        [0] * n,
+        spikes,
+        ints(300, 511),
+        ints(0, 12),
+        level,
+        off_grid,
+        list(spikes),
+        [min(v, 1) for v in ints(0, 6)],
+    ]
+    streams += draw(st.lists(
+        st.sampled_from(streams[:5]), max_size=2
+    ))
+    thresholds = draw(st.lists(
+        st.sampled_from([0.5, 1.0, 1.5, 2.5, 4.0]),
+        min_size=len(streams), max_size=len(streams),
+    ))
+    # small probe tables split the rows into several groups
+    cells = draw(st.sampled_from([64, 1024, 1 << 20]))
+    return thresholds, streams, window, warmup, chunks, cells
+
+
+def _assert_histograms_match_rings(bank):
+    """Each vector row's histogram counts exactly its window's values."""
+    states = bank.state_dicts()
+    for row, i in enumerate(bank._med_ix):
+        if row in bank._demoted:
+            continue
+        dual = states[i]["dual"]
+        values = np.concatenate(
+            [decode_ring(dual["raw"]), decode_ring(dual["corr"])]
+        ).astype(np.int64)
+        np.testing.assert_array_equal(
+            bank._hist[row],
+            np.bincount(values, minlength=bank.grid_limit),
+        )
+
+
 class TestDetectorBank:
     @given(
         st.integers(1, 4),                       # detectors
@@ -446,6 +518,42 @@ class TestDetectorBank:
             [d.state_dict() for d in scalars]
         )
 
+    @given(_insert_only_case())
+    @settings(max_examples=80, deadline=None)
+    def test_insert_only_kernel_matches_scalars(self, case):
+        """Every block but the last is insert-only (the window outlasts
+        the stream until the last chunk, which crosses into the
+        eviction kernel): flags, corrected values, states and
+        histograms equal the scalar detectors' after every chunk."""
+        thresholds, streams, window, warmup, chunks, cells = case
+
+        def mk():
+            return [
+                OnlineOutlierDetector(
+                    threshold=t, window=window, warmup=warmup
+                )
+                for t in thresholds
+            ]
+
+        scalars = mk()
+        bank = VectorizedDetectorBank(mk())
+        bank.PROBE_CELLS = cells
+        matrix = np.array(streams, dtype=np.float64)
+        a = 0
+        for size in chunks:
+            block = matrix[:, a:a + size]
+            a += size
+            flags, corrected = bank.tick_many(block)
+            for i, det in enumerate(scalars):
+                for j in range(size):
+                    out, co = det.process(float(block[i, j]))
+                    assert bool(flags[i, j]) == out
+                    assert float(corrected[i, j]) == co
+            assert json.dumps(bank.state_dicts()) == json.dumps(
+                [d.state_dict() for d in scalars]
+            )
+            _assert_histograms_match_rings(bank)
+
     def test_layout_errors(self):
         with pytest.raises(BankLayoutError):
             VectorizedDetectorBank([])
@@ -456,6 +564,89 @@ class TestDetectorBank:
             ])
         with pytest.raises(BankLayoutError):
             VectorizedDetectorBank([object()])
+
+
+# ---------------------------------------------------------------------------
+# ring text: window rings round-trip bit for bit
+# ---------------------------------------------------------------------------
+
+#: floats a JSON float list could not carry bit for bit, or at all
+_SPECIAL = [-0.0, 0.0, 5e-324, 1e308, float("inf"), float("-inf"),
+            float("nan")]
+_ring_value = st.one_of(
+    st.sampled_from(_SPECIAL), st.floats(), st.integers(0, 20).map(float)
+)
+
+
+def _bits(values):
+    return np.asarray(list(values), dtype="<f8").tobytes()
+
+
+class TestRingText:
+    @given(st.integers(1, 6), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_dual_window_round_trip(self, capacity, data):
+        raw = data.draw(st.lists(_ring_value, max_size=capacity + 1))
+        corr = data.draw(st.lists(_ring_value, max_size=capacity))
+        win = _DualWindow(capacity)
+        win._raw, win._corr = deque(raw), deque(corr)
+        state = json.loads(json.dumps(win.state_dict()))
+        assert isinstance(state["raw"], str)
+        back = _DualWindow.from_state(state)
+        assert _bits(back._raw) == _bits(raw)
+        assert _bits(back._corr) == _bits(corr)
+        assert back.state_dict() == state
+
+    @given(st.integers(1, 5), st.integers(1, 4), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_bank_states_round_trip(self, capacity, n, data):
+        """Vector rows (on the grid, ``-0.0`` included) and demoted rows
+        (any other float) write their rings bit for bit, and a bank
+        rebuilt from the states writes the same states again."""
+        n_raw = data.draw(st.integers(0, capacity + 1))
+        n_corr = data.draw(st.integers(0, capacity))
+        rings = []
+        for _ in range(n):
+            value = data.draw(st.sampled_from(
+                [st.sampled_from([0.0, -0.0, 1.0, 7.0]), _ring_value]
+            ))
+            rings.append((
+                data.draw(st.lists(value, min_size=n_raw, max_size=n_raw)),
+                data.draw(st.lists(value, min_size=n_corr, max_size=n_corr)),
+            ))
+        bank = VectorizedDetectorBank([
+            OnlineOutlierDetector.from_state({
+                "kind": "median", "threshold": 1.0, "window": capacity,
+                "warmup": 2, "seen": n_raw,
+                "dual": {"capacity": capacity, "raw": raw, "corr": corr},
+            })
+            for raw, corr in rings
+        ])
+        states = json.loads(json.dumps(bank.state_dicts()))
+        for state, (raw, corr) in zip(states, rings):
+            assert _bits(decode_ring(state["dual"]["raw"])) == _bits(raw)
+            assert _bits(decode_ring(state["dual"]["corr"])) == _bits(corr)
+        again = VectorizedDetectorBank.from_states(states)
+        assert again.state_dicts() == states
+
+    def test_list_rings_still_load(self):
+        """A ring written as a JSON float list (the format before the
+        ring text) loads to the same window as its text form."""
+        win = _DualWindow(4)
+        win._raw, win._corr = deque([0.0, 3.0, -0.0]), deque([2.0, 0.5])
+        text = win.state_dict()
+        listed = {"capacity": 4, "raw": [0.0, 3.0, -0.0], "corr": [2.0, 0.5]}
+        assert _DualWindow.from_state(listed).state_dict() == text
+
+    @pytest.mark.parametrize("ring", [
+        "not base64!",       # not base64
+        "eJwDAAAAAAE",       # padding cut off
+        "AAAA",              # not zlib
+        "eJxLTEoGAAJNASc=",  # three bytes: not whole float64s
+    ])
+    def test_corrupt_ring_text_is_a_value_error(self, ring):
+        with pytest.raises(ValueError):
+            _DualWindow.from_state({"capacity": 2, "raw": ring, "corr": []})
 
 
 # ---------------------------------------------------------------------------

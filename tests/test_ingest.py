@@ -53,7 +53,7 @@ from repro.fleet import (
     ShardState,
     hashed_tenant_key,
 )
-from repro.fleet.client import HTTPTransport
+from repro.fleet.client import ClientError, HTTPTransport, IngestClient
 from repro.fleet.ingest import decode_batch, encode_records, ingest_slos
 from repro.obs.live import TelemetryServer
 from repro.simulation.trace import LogRecord, Severity
@@ -1083,6 +1083,49 @@ class TestKeepAlive:
                 sock.close()
         assert status_lines(blob) == [status]
         assert b"Connection: close" in blob
+
+    def test_refused_body_gets_its_413(self):
+        """A body over the cap is answered 413 and the client gets the
+        answer: the server reads and drops the rest of the body before
+        closing, so a client still sending never sees a reset instead.
+        One attempt per POST, so a lost reply would raise
+        ``IngestGaveUp`` rather than ``ClientError``."""
+        with self._server(StubIngestAPI()) as server:
+            transport = HTTPTransport(server.host, server.port, timeout=10.0)
+            client = IngestClient(transport, max_attempts=1)
+            try:
+                for size, posts in ((2 << 20, 40), (8 << 20, 5)):
+                    record = LogRecord(
+                        timestamp=1.0, location="R00-M0-N0",
+                        severity=Severity.INFO, message="x" * size,
+                    )
+                    for _ in range(posts):
+                        with pytest.raises(ClientError) as err:
+                            client.send_batch("t0", [record])
+                        assert err.value.status == 413
+            finally:
+                transport.close()
+
+    def test_silent_refused_body_frees_its_thread(self):
+        """A client that declares a huge body and sends nothing gets its
+        413 at once, and its handler thread is free within one request
+        timeout although the client keeps the connection open."""
+        timeout = 0.3
+        with self._server(StubIngestAPI(), timeout=timeout) as server:
+            sock = socket.create_connection(
+                (server.host, server.port), timeout=5)
+            try:
+                t0 = time.monotonic()
+                sock.sendall(b"POST /ingest/t0 HTTP/1.1\r\nHost: x\r\n"
+                             b"Content-Length: %d\r\n\r\n" % (1 << 40))
+                # the reply ends with the server's half-close
+                assert status_lines(read_until_closed(sock)) == [b"413"]
+                while server._httpd._open and time.monotonic() - t0 < 5:
+                    time.sleep(0.01)
+                freed = time.monotonic() - t0
+            finally:
+                sock.close()
+        assert freed < timeout + 1.0, freed
 
     def test_idle_close_is_not_a_request_timeout(self):
         with self._server(StubIngestAPI(), timeout=0.2) as server:

@@ -17,6 +17,7 @@ from repro.resilience.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
+from repro.signals.outliers import decode_ring
 from tests.reference.engines import batch_predict
 
 
@@ -102,6 +103,42 @@ class TestKillAndResume:
         run2 = ResumableRun.resume(fitted_elsa, state)
         assert run2.predictor.n_records_fed == 1500
         resumed = run2.run(small_scenario.records)
+        assert pred_json(resumed) == pred_json(batch)
+
+    def test_checkpoint_with_list_rings_resumes_byte_identically(
+        self, fitted_elsa, small_scenario, batch_reference, tmp_path
+    ):
+        """A checkpoint whose detector rings are JSON float lists, as
+        they were written before the ring text, loads to the same
+        predictor state and resumes to the uninterrupted output."""
+        batch, helo_state = batch_reference
+        ckpt = tmp_path / "text.json"
+        run = ResumableRun(
+            fitted_elsa, small_scenario.train_end, small_scenario.t_end,
+            checkpoint_path=ckpt, checkpoint_every=500,
+        )
+        run.process(small_scenario.records, limit=1500)
+        data = json.loads(ckpt.read_text())
+        n_rings = 0
+        for det in data["predictor"]["detectors"].values():
+            if det["kind"] == "median":
+                for key in ("raw", "corr"):
+                    det["dual"][key] = decode_ring(det["dual"][key]).tolist()
+                    n_rings += 1
+        assert n_rings
+        listed = tmp_path / "lists.json"
+        listed.write_text(json.dumps(data) + "\n")
+
+        fitted_elsa.restore_online_state(helo_state)
+        from_text = ResumableRun.resume(fitted_elsa, load_checkpoint(ckpt))
+        fitted_elsa.restore_online_state(helo_state)
+        from_lists = ResumableRun.resume(
+            fitted_elsa, load_checkpoint(listed)
+        )
+        assert json.dumps(from_lists.predictor.state_dict()) == json.dumps(
+            from_text.predictor.state_dict()
+        )
+        resumed = from_lists.run(small_scenario.records)
         assert pred_json(resumed) == pred_json(batch)
 
     def test_double_kill(
