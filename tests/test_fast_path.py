@@ -322,6 +322,100 @@ def _insert_only_case(draw):
     return thresholds, streams, window, warmup, chunks, cells
 
 
+@st.composite
+def _eviction_case(draw):
+    """A window much shorter than the stream, and chunk sizes up to three
+    windows long, so that most blocks evict from both rings.
+
+    Rows: all zero; sparse spikes that flag inside eviction blocks; a
+    300-511 storm that is later evicted; a level shift longer than the
+    window; a mostly-zero row of 1s and 3s whose evicted zeros move its
+    median off 0 and back; noisy counts; and noisy counts with one
+    off-grid value after the first window, demoting the row inside an
+    eviction block.  Thresholds mix per row.
+    """
+    window = draw(st.integers(2, 12))
+    n = draw(st.integers(4 * window, 8 * window + 20))
+    chunks = []
+    while sum(chunks) < n:
+        chunks.append(draw(st.integers(1, 3 * window)))
+    n = sum(chunks)
+    warmup = draw(st.integers(0, 6))
+
+    def ints(lo, hi):
+        return draw(st.lists(st.integers(lo, hi), min_size=n, max_size=n))
+
+    spikes = [0] * n
+    for t in draw(st.lists(st.integers(0, n - 1), max_size=n // 3)):
+        spikes[t] = draw(st.integers(1, 9))
+    storm = list(spikes)
+    start = draw(st.integers(0, n - window - 2))
+    for t in range(start, min(n, start + draw(st.integers(1, window)))):
+        storm[t] = draw(st.integers(300, 511))
+    start = draw(st.integers(0, n - window - 1))
+    stop = draw(st.integers(start + window + 1, n))
+    level = [
+        draw(st.integers(3, 8)) if start <= t < stop else 0
+        for t in range(n)
+    ]
+    mostly_zero = draw(st.lists(
+        st.sampled_from([0, 0, 0, 0, 0, 1, 1, 1, 1, 3]),
+        min_size=n, max_size=n,
+    ))
+    off_grid = ints(0, 12)
+    off_grid[draw(st.integers(window + 1, n - 1))] = draw(
+        st.sampled_from([2.5, 0.25, 700.0])
+    )
+    streams = [[0] * n, spikes, storm, level, mostly_zero, ints(0, 12),
+               off_grid]
+    thresholds = draw(st.lists(
+        st.sampled_from([0.5, 1.0, 1.5, 2.5, 4.0]),
+        min_size=len(streams), max_size=len(streams),
+    ))
+    block = draw(st.sampled_from([2, 3, 7, 1024]))
+    cells = draw(st.sampled_from([16, 64, 1024, 1 << 20]))
+    return thresholds, streams, window, warmup, chunks, block, cells
+
+
+def _production_signals(seed, n=20736):
+    """Six anchors' counts over 2.4 one-day windows, as ``stream`` closes
+    them: two sparse spiky rows; a row with a 300-511 storm inside the
+    first window (evicted a window later) and a 5-40 storm after it; a
+    noisy row; a row whose level shift lasts longer than a window; and
+    a beat every 360 samples for the periodic anchor."""
+    rng = np.random.default_rng(seed)
+    x = np.zeros((6, n))
+    hits = rng.random((3, n)) < 0.003
+    x[:3][hits] = rng.integers(1, 4, int(hits.sum()))
+    x[2, 2000:2040] = rng.integers(300, 512, 40)
+    x[2, 14000:14060] = rng.integers(5, 41, 60)
+    x[3] = rng.poisson(2.0, n)
+    x[4, 6000:16000] = rng.integers(2, 5, 10000)
+    x[5, ::360] = 1.0
+    return x
+
+
+def _assert_chunks_match_scalars(scalars, bank, streams, chunks):
+    """Feed ``streams`` to ``bank`` in ``chunks``; after every chunk the
+    flags, corrected values, states and histograms equal the scalar
+    detectors' stepped one sample at a time."""
+    matrix = np.array(streams, dtype=np.float64)
+    a = 0
+    for size in chunks:
+        block = matrix[:, a:a + size]
+        a += size
+        flags, corrected = bank.tick_many(block)
+        for i, det in enumerate(scalars):
+            for j in range(size):
+                out, co = det.process(float(block[i, j]))
+                assert bool(flags[i, j]) == out
+                assert float(corrected[i, j]) == co
+        assert json.dumps(bank.state_dicts()) == json.dumps(
+            [d.state_dict() for d in scalars]
+        )
+        _assert_histograms_match_rings(bank)
+
+
 def _assert_histograms_match_rings(bank):
     """Each vector row's histogram counts exactly its window's values."""
     states = bank.state_dicts()
@@ -522,37 +616,54 @@ class TestDetectorBank:
     @settings(max_examples=80, deadline=None)
     def test_insert_only_kernel_matches_scalars(self, case):
         """Every block but the last is insert-only (the window outlasts
-        the stream until the last chunk, which crosses into the
-        eviction kernel): flags, corrected values, states and
+        the stream until the last chunk, which crosses into
+        evictions): flags, corrected values, states and
         histograms equal the scalar detectors' after every chunk."""
         thresholds, streams, window, warmup, chunks, cells = case
+        scalars, bank = _median_pair(thresholds, window, warmup)
+        bank.PROBE_CELLS = cells
+        _assert_chunks_match_scalars(scalars, bank, streams, chunks)
+
+    @given(_eviction_case())
+    @settings(max_examples=80, deadline=None)
+    def test_eviction_blocks_match_scalars(self, case):
+        """Streams several windows long, in chunks of up to three
+        windows: flags, corrected values, states and histograms equal
+        the scalar detectors' after every chunk, demotion included."""
+        thresholds, streams, window, warmup, chunks, block, cells = case
+        scalars, bank = _median_pair(thresholds, window, warmup)
+        bank.TICK_BLOCK = block
+        bank.PROBE_CELLS = cells
+        _assert_chunks_match_scalars(scalars, bank, streams, chunks)
+        assert 6 in bank._demoted
+
+    def test_production_window_matches_scalars(self):
+        """A ``stream``-shaped bank at the default one-day window, fed
+        ~700-sample calls over 2.4 windows: the eviction blocks equal the
+        scalar detectors call for call, and the final states alike."""
+        x = _production_signals(seed=7)
 
         def mk():
             return [
-                OnlineOutlierDetector(
-                    threshold=t, window=window, warmup=warmup
-                )
-                for t in thresholds
-            ]
+                OnlineOutlierDetector(threshold=t, window=8640, warmup=30)
+                for t in (0.5, 0.5, 1.5, 3.0, 1.0)
+            ] + [OnlinePeriodicDetector(period=360, amplitude=1.0)]
 
         scalars = mk()
         bank = VectorizedDetectorBank(mk())
-        bank.PROBE_CELLS = cells
-        matrix = np.array(streams, dtype=np.float64)
+        rng = np.random.default_rng(11)
         a = 0
-        for size in chunks:
-            block = matrix[:, a:a + size]
-            a += size
+        while a < x.shape[1]:
+            block = x[:, a:a + int(rng.integers(600, 800))]
+            a += block.shape[1]
             flags, corrected = bank.tick_many(block)
             for i, det in enumerate(scalars):
-                for j in range(size):
-                    out, co = det.process(float(block[i, j]))
-                    assert bool(flags[i, j]) == out
-                    assert float(corrected[i, j]) == co
-            assert json.dumps(bank.state_dicts()) == json.dumps(
-                [d.state_dict() for d in scalars]
-            )
-            _assert_histograms_match_rings(bank)
+                ref = det.process_array(block[i])
+                np.testing.assert_array_equal(flags[i], ref.flags)
+                np.testing.assert_array_equal(corrected[i], ref.corrected)
+        assert json.dumps(bank.state_dicts()) == json.dumps(
+            [d.state_dict() for d in scalars]
+        )
 
     def test_layout_errors(self):
         with pytest.raises(BankLayoutError):
