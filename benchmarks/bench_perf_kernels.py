@@ -3,8 +3,8 @@
 The online phase must keep its analysis window small (section VI.A), so
 the per-kernel throughputs are tracked as benchmarks in their own right:
 message classification (online HELO), signal extraction, the causal
-median filter and the detector bank (its ``ingest``-shaped steps and
-its checkpoint text), outlier-train correlation, and the ingest wire's
+median filter and the detector bank (its ``ingest``-shaped steps, its
+``stream``-shaped calls and its checkpoint text), outlier-train correlation, and the ingest wire's
 NDJSON encode and decode.  These are the numbers to
 watch when modifying the hot paths — the repository's equivalent of the
 paper's "having a low execution time is a requirement for the on-line
@@ -227,6 +227,57 @@ def test_perf_detector_bank_ingest_steps(benchmark):
             ref = det.process_array(x[i])
             np.testing.assert_array_equal(flags[i], ref.flags)
             np.testing.assert_array_equal(corrected[i], ref.corrected)
+
+
+#: a ``stream`` pass's bank: one periodic anchor (a heartbeat every 6
+#: samples) and five quiet median anchors; a day-long window; 20,736
+#: samples (2.4 windows, so 60% of them in blocks that evict) in calls
+#: of 600-800 samples, as 4096-record feeds close them
+STREAM_SAMPLES = 20736
+
+
+def _stream_detectors():
+    return [OnlinePeriodicDetector(period=6, amplitude=1.0)] + [
+        OnlineOutlierDetector(threshold=0.5, window=8640, warmup=30)
+        for _ in range(5)
+    ]
+
+
+def _stream_signals(seed):
+    """Heartbeats with a few missed, sparse 1-3 counts on the median
+    anchors, and six 12-sample storms of 5-72 on the last one."""
+    rng = np.random.default_rng(seed)
+    x = np.zeros((6, STREAM_SAMPLES))
+    x[0, ::6] = 1.0
+    x[0, rng.choice(np.arange(0, STREAM_SAMPLES, 6), 10)] = 0.0
+    hits = rng.random((5, STREAM_SAMPLES)) < 0.004
+    x[1:][hits] = rng.integers(1, 4, int(hits.sum()))
+    for t in rng.integers(0, STREAM_SAMPLES - 12, 6):
+        x[5, t:t + 12] = rng.integers(5, 73, 12)
+    return x
+
+
+def test_perf_detector_bank_stream_calls(benchmark):
+    """The bank as ``stream`` drives it: ~700-sample calls over 2.4
+    windows, most of them evicting, equal to the scalar detectors."""
+    x = _stream_signals(0)
+    rng = np.random.default_rng(1)
+    cuts = [0]
+    while cuts[-1] < STREAM_SAMPLES:
+        step = int(rng.integers(600, 801))
+        cuts.append(min(STREAM_SAMPLES, cuts[-1] + step))
+
+    def scan():
+        bank = VectorizedDetectorBank(_stream_detectors())
+        calls = [bank.tick_many(x[:, a:b]) for a, b in zip(cuts, cuts[1:])]
+        return tuple(np.concatenate(part, axis=1) for part in zip(*calls))
+
+    flags, corrected = benchmark.pedantic(scan, rounds=3, iterations=1)
+    assert flags[1:, 8640:].any()
+    for i, det in enumerate(_stream_detectors()):
+        ref = det.process_array(x[i])
+        np.testing.assert_array_equal(flags[i], ref.flags)
+        np.testing.assert_array_equal(corrected[i], ref.corrected)
 
 
 def test_perf_detector_bank_encode(benchmark):

@@ -8,9 +8,14 @@ shared numpy arrays and closes a tick with *one* vectorized pass:
 
 * **median group** (:class:`~repro.signals.outliers.OnlineOutlierDetector`
   equivalents): raw and corrected histories live in shared ring buffers
-  of shape ``(n, window+1)`` / ``(n, window)``; a per-value histogram per
-  anchor makes the combined-window median an O(bins) cumulative-sum
-  select instead of a sort.
+  of shape ``(n, window+1)`` / ``(n, window)`` with shared cursors, and a
+  per-value histogram per anchor.  One kernel closes every block of at
+  most a window's ticks: a flag needs only whether the median falls
+  outside ``[value - thr, value + thr]``, two probes of the combined
+  cumulative count, which one table of every anchor's pushes and
+  evictions answers for the whole block; actual medians (an O(bins)
+  cumulative-sum select instead of a sort) are computed only at
+  flagged ticks.
 * **periodic group** (:class:`~repro.signals.outliers.OnlinePeriodicDetector`
   equivalents): the last-beat/gap-reported state machine as flat arrays.
 
@@ -65,6 +70,30 @@ Detector = Union[OnlineOutlierDetector, OnlinePeriodicDetector]
 
 class BankLayoutError(ValueError):
     """The given detectors cannot share one vectorized layout."""
+
+
+def _ring_cols(start: int, n: int, cap: int) -> Tuple[slice, slice]:
+    """Columns of ring positions ``start, ..., start + n - 1`` modulo
+    ``cap`` (``n <= cap``): up to the ring's end, then from its start."""
+    start %= cap
+    cut = min(n, cap - start)
+    return slice(start, start + cut), slice(0, n - cut)
+
+
+def _ring_read(ring: np.ndarray, rows: np.ndarray, start: int,
+               n: int) -> np.ndarray:
+    """``rows``' values at ring positions ``start, ..., start + n - 1``."""
+    head, tail = _ring_cols(start, n, ring.shape[1])
+    return np.concatenate([ring[rows, head], ring[rows, tail]], axis=1)
+
+
+def _ring_write(ring: np.ndarray, rows: np.ndarray, start: int,
+                values: np.ndarray) -> None:
+    """Write ``values`` into ``rows`` from ring position ``start`` on."""
+    head, tail = _ring_cols(start, values.shape[1], ring.shape[1])
+    cut = head.stop - head.start
+    ring[rows, head] = values[:, :cut]
+    ring[rows, tail] = values[:, cut:]
 
 
 class VectorizedDetectorBank:
@@ -184,23 +213,27 @@ class VectorizedDetectorBank:
     def _on_grid(self, v: np.ndarray) -> np.ndarray:
         return (v >= 0) & (v < self.grid_limit) & (np.floor(v) == v)
 
+    def _windows(self, rows) -> Tuple[np.ndarray, np.ndarray]:
+        """``rows``' raw and corrected windows, oldest value first."""
+        return (
+            _ring_read(self._raw_ring, rows, self._raw_start, self._raw_len),
+            _ring_read(
+                self._corr_ring, rows, self._corr_start, self._corr_len
+            ),
+        )
+
     # -- demotion ------------------------------------------------------------
 
     def _demote(self, row: int) -> OnlineOutlierDetector:
         """Rebuild row's exact scalar detector from the ring contents."""
         W = self.window
-        raw_idx = (self._raw_start + np.arange(self._raw_len)) % (W + 1)
-        corr_idx = (self._corr_start + np.arange(self._corr_len)) % W
+        raw, corr = self._windows([row])
         det = OnlineOutlierDetector(
             threshold=float(self._thr[row]), window=W, warmup=self.warmup
         )
         det._seen = self._seen
         det._dual = _DualWindow.from_state(
-            {
-                "capacity": W,
-                "raw": self._raw_ring[row, raw_idx],
-                "corr": self._corr_ring[row, corr_idx],
-            }
+            {"capacity": W, "raw": raw[0], "corr": corr[0]}
         )
         self._demoted[row] = det
         self._med_act = self._med_act[self._med_act != row]
@@ -221,8 +254,9 @@ class VectorizedDetectorBank:
         flags, corrected = self.tick_many(values[:, None])
         return flags[:, 0], corrected[:, 0]
 
-    #: ticks per internal batch; bounds the transient histogram tensors
-    #: at ``n_median * TICK_BLOCK * grid`` elements
+    #: ticks per internal batch, and never more than the window, so that
+    #: every value a block evicts was in the rings before the block;
+    #: bounds the per-block ``(rows, ticks)`` arrays and probe tables
     TICK_BLOCK = 1024
 
     def tick_many(
@@ -235,14 +269,6 @@ class VectorizedDetectorBank:
         bank state — rings, histograms, cursors, demotions — are
         identical to stepping each scalar detector ``m`` times, and so
         to ``m`` single-column calls, whatever the split.
-
-        The median group is evaluated *optimistically*: corrections are
-        rare, so the whole block is first computed as if every corrected
-        value equalled its raw sample (which makes the per-tick combined
-        histogram a cumulative sum of sparse deltas).  Rows whose stream
-        does flag an outlier are then patched exactly from that tick
-        onward — anchors are independent, so a patch never crosses rows,
-        and everything before a row's first flag is already exact.
         """
         values = np.asarray(values, dtype=np.float64)
         if values.ndim != 2 or values.shape[0] != self.n:
@@ -252,8 +278,11 @@ class VectorizedDetectorBank:
         m = values.shape[1]
         flags = np.zeros((self.n, m), dtype=bool)
         corrected = np.zeros((self.n, m), dtype=np.float64)
-        for a in range(0, m, self.TICK_BLOCK):
-            b = min(m, a + self.TICK_BLOCK)
+        step = self.TICK_BLOCK
+        if self._nm:
+            step = min(step, self.window)
+        for a in range(0, m, step):
+            b = min(m, a + step)
             if self._nm:
                 f, c = self._tick_median_many(values[self._med_ix_arr, a:b])
                 flags[self._med_ix_arr, a:b] = f
@@ -286,29 +315,13 @@ class VectorizedDetectorBank:
         r0 = self._raw_len
         c0 = self._corr_len
         if act.size:
-            if (
-                self._raw_start == 0
-                and self._corr_start == 0
-                and r0 + m <= W + 1
-                and c0 + m <= W
-            ):
-                # insert-only block (no ring evictions): the two-point
-                # row kernel decides every flag exactly from two
-                # cumulative-count probes per tick — no per-tick median
-                self._tick_median_rows_insert_only(
-                    v, act, flags, corrected, r0, c0, m
-                )
-            else:
-                self._tick_median_many_exact(
-                    v, act, flags, corrected, r0, c0, m
-                )
-        else:
-            # no vector rows left: advance the shared cursors exactly as
-            # m single ticks would (ring contents are only read per row)
-            self._raw_start = (
-                self._raw_start + max(0, r0 + m - (W + 1))
-            ) % (W + 1)
-            self._corr_start = (self._corr_start + max(0, c0 + m - W)) % W
+            self._tick_median_rows(v, act, flags, corrected, r0, c0, m)
+        # the shared cursors advance as m single ticks would; a demoted
+        # row's ring slots go stale, and only its scalar detector is read
+        self._raw_start = (
+            self._raw_start + max(0, r0 + m - (W + 1))
+        ) % (W + 1)
+        self._corr_start = (self._corr_start + max(0, c0 + m - W)) % W
         self._raw_len = min(r0 + m, W + 1)
         self._corr_len = min(c0 + m, W)
         self._seen += m
@@ -323,7 +336,7 @@ class VectorizedDetectorBank:
     #: ranges add up past it are probed in groups, bounding the table
     PROBE_CELLS = 1 << 20
 
-    def _tick_median_rows_insert_only(
+    def _tick_median_rows(
         self,
         v: np.ndarray,
         act: np.ndarray,
@@ -333,8 +346,8 @@ class VectorizedDetectorBank:
         c0: int,
         m: int,
     ) -> None:
-        """Exact kernel for insert-only blocks (no evictions), every row
-        in one pass.
+        """Exact median kernel for a block of ``m <= window`` ticks, every
+        ``act`` row in one pass.
 
         The flag test ``|va - med| > thr`` never needs the median itself
         — only whether it falls outside ``[va - thr, va + thr]``, which
@@ -343,24 +356,28 @@ class VectorizedDetectorBank:
         medians living on the integer grid,
         ``med > va + thr  <=>  C[j, floor(va + thr)] <= k_j`` and
         ``med < va - thr  <=>  C[j, ceil(va - thr) - 1] > k_j``.
-        In an insert-only block ``C[j, g]`` is the base histogram plus
-        this block's own pushes: raw ones at ticks ``<= j`` and corrected
-        ones at ticks ``< j``, optimistically equal to the raw values.
-        One probe table holds every row's pushes side by side, each row
-        in columns spanning only its own value range, and its double
+        ``C[j, g]`` is the base histogram plus this block's raw pushes at
+        ticks ``<= j`` and corrected ones at ticks ``< j`` (optimistically
+        equal to the raw values), minus what those pushes evict.  A push
+        evicts the value in the ring slot it lands on, and a block is at
+        most one window long, so every eviction is a value the rings held
+        before the block, known before any tick is decided.  One probe
+        table holds every row's pushes and evictions side by side, each
+        row in columns spanning only its own value range, and its double
         cumulative sum answers every probe of every row at once
-        (:meth:`_probe_insert_only`).
+        (:meth:`_probe`).
 
         Most anchors are silent most of the time, and a row whose window
         median stays 0 needs no probes: its flags are ``va > thr`` and
         its corrections are 0.  The median provably stays 0 through the
-        block when ``hist[0] + 1 - z > k_0``, ``z`` being the block's
-        nonzero samples: a tick whose sample is 0 pushes a raw 0 and a
-        corrected 0 (a zero sample is never flagged while the median is
-        0), so by tick ``j`` at least ``j + 1 - z`` zeros were added and
-        bin 0 holds more than ``k_0 + j = k_j`` values.  An all-zero
-        block on a window whose median is 0 is the case ``z = 0``: it
-        cannot flag, and only its bin 0 grows, by ``2m``.
+        block when ``hist[0] + 1 - z - e > k_0``, ``z`` being the block's
+        nonzero samples and ``e`` the zeros it evicts: a tick whose
+        sample is 0 pushes a raw 0 and a corrected 0 (a zero sample is
+        never flagged while the median is 0), so by tick ``j`` at least
+        ``2j + 1 - z - min(z, j)`` zeros were pushed and at most ``e``
+        evicted, while ``k_j <= k_0 + j``; bin 0 keeps more than ``k_j``
+        values.  An all-zero block on a silent window is the case
+        ``z = 0``: it cannot flag.
 
         On the other rows actual medians are computed only at flagged
         ticks (rare), row by row: each correction shifts that row's later
@@ -368,27 +385,47 @@ class VectorizedDetectorBank:
         flags are re-decided — reproducing the sequential semantics
         exactly.
 
-        The rows commit in place (rings extended, histograms bumped by
-        one offset ``bincount`` of the block's pushes); the caller
-        advances the shared lengths/seen counters once per block.
+        The rows commit in place: the block's values overwrite the slots
+        they evict at the shared cursors, and one offset ``bincount`` of
+        the pushes and one ``subtract.at`` of the evictions update every
+        histogram; the caller advances the shared cursors, lengths and
+        seen counter once per block.
         """
+        W = self.window
         G = self.grid_limit
         va = v[act]
         co = va
         js = np.arange(m)
+        # the first ticks whose raw / corrected push evicts; a corrected
+        # push's eviction shows from the next tick's median on
+        j0r = min(m, max(0, W + 1 - r0))
+        j0c = min(m, max(0, W - c0))
+        er = _ring_read(
+            self._raw_ring, act, self._raw_start + r0 + j0r, m - j0r
+        ).astype(np.int64)
+        ec = _ring_read(
+            self._corr_ring, act, self._corr_start + c0 + j0c, m - j0c
+        ).astype(np.int64)
+        evicted = np.concatenate([er, ec], axis=1)
         warm = (self._seen + js) >= self.warmup
-        k = (r0 + c0 + 2 * js + 1) >> 1
+        n_win = np.minimum(r0 + js + 1, W + 1) + np.minimum(c0 + js, W)
+        k = n_win >> 1
         hist = self._hist[act]
         thr = self._thr[act]
         live = js[:0]
         if warm.any():
-            zero = hist[:, 0] + 1 - np.count_nonzero(va, axis=1) > k[0]
+            zero = (
+                hist[:, 0] + 1 - np.count_nonzero(va, axis=1)
+                - (evicted == 0).sum(axis=1)
+            ) > k[0]
             fl = (va > thr[:, None]) & warm & zero[:, None]
             flags[act] = fl
             co = np.where(fl, 0.0, va)
             live = np.flatnonzero(~zero)
         q = va[live].astype(np.int64)
-        width = q.max(axis=1, initial=0) + 1
+        width = np.concatenate([q, evicted[live]], axis=1).max(
+            axis=1, initial=0
+        ) + 1
         ends = np.cumsum(width)
         cap = max(1, self.PROBE_CELLS // m)
         a = 0
@@ -397,8 +434,9 @@ class VectorizedDetectorBank:
                 ends, ends[a] - width[a] + cap, side="right"
             )))
             rows = live[a:b]
-            flag, chi, clo, ghi, glo = self._probe_insert_only(
-                va[rows], q[a:b], hist[rows], width[a:b], thr[rows], warm, k
+            flag, chi, clo, ghi, glo = self._probe(
+                va[rows], q[a:b], er[rows], ec[rows], hist[rows],
+                width[a:b], thr[rows], warm, k, n_win - (r0 + c0),
             )
             for i in np.flatnonzero(flag.any(axis=1)).tolist():
                 r = int(rows[i])
@@ -414,6 +452,12 @@ class VectorizedDetectorBank:
                         np.concatenate([qr[: j + 1], co[r, :j]]).astype(
                             np.int64
                         ),
+                        minlength=G,
+                    ) - np.bincount(
+                        np.concatenate([
+                            er[r, : max(0, j + 1 - j0r)],
+                            ec[r, : max(0, j - j0c)],
+                        ]),
                         minlength=G,
                     )
                     med = int(np.searchsorted(hj.cumsum(), k[j], "right"))
@@ -436,32 +480,38 @@ class VectorizedDetectorBank:
                     )
             a = b
         corrected[act] = co
-        self._raw_ring[act, r0: r0 + m] = va
-        self._corr_ring[act, c0: c0 + m] = co
-        pushed = np.concatenate([va, co], axis=1).astype(np.intp)
-        pushed += (act * G)[:, None]
-        self._hist += np.bincount(
-            pushed.ravel(), minlength=self._hist.size
-        ).reshape(self._hist.shape)
+        _ring_write(self._raw_ring, act, self._raw_start + r0, va)
+        _ring_write(self._corr_ring, act, self._corr_start + c0, co)
+        off = (act * G)[:, None]
+        pushed = np.concatenate([va, co], axis=1).astype(np.intp) + off
+        flat = self._hist.reshape(-1)
+        flat += np.bincount(pushed.ravel(), minlength=flat.size)
+        np.subtract.at(flat, (evicted + off).ravel(), 1)
 
     @staticmethod
-    def _probe_insert_only(
+    def _probe(
         va: np.ndarray,
         q: np.ndarray,
+        er: np.ndarray,
+        ec: np.ndarray,
         hist: np.ndarray,
         width: np.ndarray,
         thr: np.ndarray,
         warm: np.ndarray,
         k: np.ndarray,
+        grow: np.ndarray,
     ) -> Tuple[np.ndarray, ...]:
         """Optimistic flags and probe counts of ``q``'s rows in one table.
 
-        Returns ``(flag, chi, clo, ghi, glo)``, each ``(rows, m)``: the
-        flags as if no tick before were corrected, the combined counts
-        at the upper and lower probe bins, and those bins.  Row ``i``'s
-        pushes land in table columns ``off[i] + [0, width[i])``; a probe
-        above a row's largest value reads its last column, which already
-        counts all of its pushes.
+        ``er`` / ``ec`` are the raw / corrected values the block's last
+        ``er.shape[1]`` / ``ec.shape[1]`` pushes evict, and
+        ``grow[j]`` is how much every row's window has grown by tick
+        ``j``.  Returns ``(flag, chi, clo, ghi, glo)``, each
+        ``(rows, m)``: the flags as if no tick before were corrected, the
+        combined counts at the upper and lower probe bins, and those
+        bins.  Row ``i``'s entries land in table columns
+        ``off[i] + [0, width[i])``; a probe above a row's largest value
+        reads its last column, which already counts all of its entries.
         """
         n, m = q.shape
         G = hist.shape[1]
@@ -471,15 +521,19 @@ class VectorizedDetectorBank:
         top = (width - 1)[:, None]
         ghi = np.floor(va + thr[:, None]).astype(np.int64)
         glo = np.ceil(va - thr[:, None]).astype(np.int64) - 1
-        pushes = np.zeros((m, int(width.sum())), dtype=np.int32)
-        pushes[js, off + q] = 1
-        # T[j, c]: pushes at ticks <= j plus pushes at ticks < j, in
-        # columns <= c; the columns of the rows before row i add
-        # i * (2j + 1) to every probe of row i
-        T = pushes.cumsum(axis=0, dtype=np.int32)
-        T[1:] = T[1:] + T[:-1]
-        T = T.cumsum(axis=1, dtype=np.int32)
-        before = ri * (2 * js + 1)
+        # Z[j, c]: how tick j changes the count of column c — its raw
+        # push and eviction, and the corrected push and eviction of
+        # tick j - 1; each assignment hits distinct cells
+        Z = np.zeros((m, int(width.sum())), dtype=np.int32)
+        Z[js, off + q] = 1
+        Z[js[1:], off + q[:, :-1]] += 1
+        Z[js[m - er.shape[1]:], off + er] -= 1
+        Z[js[m - ec.shape[1] + 1:], off + ec[:, :-1]] -= 1
+        # T[j, c]: the window's change by tick j in columns <= c; the
+        # columns of the rows before row i add i * grow[j] to every
+        # probe of row i
+        T = Z.cumsum(axis=0, dtype=np.int32).cumsum(axis=1, dtype=np.int32)
+        before = ri * grow
         cum = hist.cumsum(axis=1)
         chi = (
             cum[ri, np.minimum(ghi, G - 1)]
@@ -490,114 +544,6 @@ class VectorizedDetectorBank:
         clo = cum[ri, lo] + T[js, off + np.minimum(lo, top)] - before
         flag = warm & ((chi <= k) | ((glo >= 0) & (clo > k)))
         return flag, chi, clo, ghi, glo
-
-    def _tick_median_many_exact(
-        self,
-        v: np.ndarray,
-        act: np.ndarray,
-        flags: np.ndarray,
-        corrected: np.ndarray,
-        r0: int,
-        c0: int,
-        m: int,
-    ) -> None:
-        """The optimistic-with-patches exact kernel for ``act`` rows.
-
-        Writes flags/corrected in place and commits the rows' rings and
-        histograms canonically (cursor reset to 0); the caller advances
-        the shared lengths/seen counters once per block.
-        """
-        W = self.window
-        va = v[act]
-        na = act.size
-        q = va.astype(np.int64)
-        raw_idx = (self._raw_start + np.arange(r0)) % (W + 1)
-        corr_idx = (self._corr_start + np.arange(c0)) % W
-        raw_prev = self._raw_ring[act][:, raw_idx]
-        corr_prev = self._corr_ring[act][:, corr_idx]
-        raw_seq = np.concatenate([raw_prev, va], axis=1)
-        corr_seq = np.concatenate([corr_prev, va], axis=1)
-        # every involved value is on the integer grid, so the live
-        # bins are [0, G); medians can never leave that range
-        G = int(max(raw_seq.max(), corr_seq.max(initial=0.0))) + 1
-        rows = np.arange(na)[:, None]
-        cols = np.arange(m)[None, :]
-        # per-tick deltas of the combined raw+corrected histogram:
-        # raw insert/evict land at their own tick, the corrected
-        # push/evict of tick j-1 become visible at tick j's median
-        D = np.zeros((na, m, G), dtype=np.int32)
-        np.add.at(D, (rows, cols, q), 1)
-        j0r = max(0, (W + 1) - r0)
-        if j0r < m:
-            ev = raw_seq[:, r0 + j0r - (W + 1): r0 + m - (W + 1)]
-            np.add.at(D, (rows, cols[:, j0r:], ev.astype(np.int64)), -1)
-        if m > 1:
-            np.add.at(D, (rows, cols[:, 1:], q[:, :-1]), 1)
-        j0c = max(1, (W + 1) - c0)
-        if j0c < m:
-            ev = corr_seq[:, c0 + j0c - 1 - W: c0 + m - 1 - W]
-            np.add.at(D, (rows, cols[:, j0c:], ev.astype(np.int64)), -1)
-        hist0 = self._hist[act, :G].astype(np.int32)
-        js = np.arange(m)
-        n_win = np.minimum(r0 + js + 1, W + 1) + np.minimum(c0 + js, W)
-        k = (n_win >> 1).astype(np.int32)
-        warm = (self._seen + js) >= self.warmup
-        thr = self._thr[act][:, None]
-        # C[r, t, g]: how many window values of row r at tick t are
-        # <= g — the median is the first bin whose count exceeds k
-        C = (hist0[:, None, :] + D.cumsum(axis=1)).cumsum(axis=2)
-        med = np.argmax(C > k[None, :, None], axis=2).astype(np.float64)
-        fl = warm[None, :] & (np.abs(va - med) > thr)
-        # patch each flagged row exactly from its first correction
-        # on: the optimistic pass pushed the raw value where the scalar
-        # detector pushes the median, so replacing that one element
-        # shifts the cumulative counts by +-1 between the two bins —
-        # from tick j+1 (the push) until tick j+W+1 (its eviction)
-        for r in np.flatnonzero(fl.any(axis=1)).tolist():
-            start = 0
-            while True:
-                nxt = np.flatnonzero(fl[r, start:])
-                if not nxt.size:
-                    break
-                j = start + int(nxt[0])
-                if j + 1 >= m:
-                    break
-                mj = int(med[r, j])
-                vj = int(q[r, j])
-                je = min(j + W + 1, m)
-                if mj < vj:
-                    C[r, j + 1: je, mj:vj] += 1
-                else:
-                    C[r, j + 1: je, vj:mj] -= 1
-                med[r, j + 1:] = np.argmax(
-                    C[r, j + 1:] > k[j + 1:, None], axis=1
-                )
-                fl[r, j + 1:] = warm[j + 1:] & (
-                    np.abs(va[r, j + 1:] - med[r, j + 1:])
-                    > self._thr[act[r]]
-                )
-                start = j + 1
-        co = np.where(fl, med, va)
-        flags[act] = fl
-        corrected[act] = co
-        # commit: rewrite the rings canonically and rebuild histograms
-        new_rl = min(r0 + m, W + 1)
-        new_cl = min(c0 + m, W)
-        raw_win = raw_seq[:, r0 + m - new_rl:]
-        corr_full = np.concatenate([corr_prev, co], axis=1)
-        corr_win = corr_full[:, c0 + m - new_cl:]
-        self._raw_ring[act, :new_rl] = raw_win
-        if new_cl:
-            self._corr_ring[act, :new_cl] = corr_win
-        self._raw_start = 0
-        self._corr_start = 0
-        for i, row in enumerate(act.tolist()):
-            self._hist[row] = np.bincount(
-                np.concatenate([raw_win[i], corr_win[i]]).astype(
-                    np.int64
-                ),
-                minlength=self.grid_limit,
-            )
 
     def _tick_periodic_many(
         self, v: np.ndarray
@@ -654,8 +600,7 @@ class VectorizedDetectorBank:
         out: List[Optional[dict]] = [None] * self.n
         if self._nm:
             W = self.window
-            raw_idx = (self._raw_start + np.arange(self._raw_len)) % (W + 1)
-            corr_idx = (self._corr_start + np.arange(self._corr_len)) % W
+            raw, corr = self._windows(np.arange(self._nm))
             for row, i in enumerate(self._med_ix):
                 det = self._demoted.get(row)
                 if det is not None:
@@ -669,10 +614,8 @@ class VectorizedDetectorBank:
                     "seen": self._seen,
                     "dual": {
                         "capacity": W,
-                        "raw": encode_ring(self._raw_ring[row, raw_idx]),
-                        "corr": encode_ring(
-                            self._corr_ring[row, corr_idx]
-                        ),
+                        "raw": encode_ring(raw[row]),
+                        "corr": encode_ring(corr[row]),
                     },
                 }
         for row, i in enumerate(self._per_ix):
