@@ -110,7 +110,7 @@ def test_perf_columnar_feed_binning(bg, elsa_bg, benchmark):
     from repro.columnar import RecordBatch
 
     records = RecordBatch.from_records(bg.test_records)
-    ids = elsa_bg._classify(records, online=True)
+    ids = elsa_bg.classify(records)
 
     def run():
         pred = elsa_bg.streaming_predictor(
@@ -126,15 +126,18 @@ def test_perf_columnar_feed_binning(bg, elsa_bg, benchmark):
 
 def test_perf_signal_extraction(bg, benchmark):
     """Records/second into the sparse signal matrix."""
-    records = bg.test_records[:100000]
-    ids = [r.event_type for r in records]
+    from repro.columnar import RecordBatch
+
+    records = RecordBatch.from_records(bg.test_records[:100000])
+    ids = np.array([-1 if e is None else e for e in records.event_types],
+                   dtype=np.int64)
 
     result = benchmark.pedantic(
         extract_signals,
-        args=(records,),
-        kwargs={"event_ids": ids, "n_types": 220,
-                "t_start": records[0].timestamp,
-                "t_end": records[-1].timestamp + 10.0},
+        args=(records, ids),
+        kwargs={"n_types": 220,
+                "t_start": float(records.timestamps[0]),
+                "t_end": float(records.timestamps[-1]) + 10.0},
         rounds=3,
         iterations=1,
     )
@@ -304,8 +307,10 @@ def test_perf_streaming_end_to_end(bg, elsa_bg, benchmark):
     window in checkpoint-sized chunks.  ``benchmarks/perf_smoke.py``
     tracks the same figure standalone with a regression gate.
     """
-    records = bg.test_records
-    ids = elsa_bg._classify(records, online=True)
+    from repro.columnar import RecordBatch
+
+    records = RecordBatch.from_records(bg.test_records)
+    ids = elsa_bg.classify(records)
 
     def run():
         pred = elsa_bg.streaming_predictor(

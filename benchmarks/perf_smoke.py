@@ -146,7 +146,7 @@ def _run_once(sc, elsa, test, fast, spans=False):
     def classify():
         if fast:
             batch = RecordBatch.from_records(test)
-            return batch, elsa._classify(batch, online=True)
+            return batch, elsa.classify(batch)
         return test, classify_linear(elsa, test)
 
     chunk_us = []
@@ -244,7 +244,7 @@ def _e2e_once(sc, elsa, lines, columnar):
         records = RecordBatch.from_records(
             [parse_log_line(ln) for ln in lines]
         )
-    ids = elsa._classify(records, online=True)
+    ids = elsa.classify(records)
     for a in range(0, len(records), CHUNK):
         pred.feed(records[a:a + CHUNK], ids[a:a + CHUNK])
     predictions = pred.finish()

@@ -22,6 +22,7 @@ import sys
 import urllib.request
 
 from repro import ELSA, bluegene_scenario
+from repro.columnar import RecordBatch
 from repro.obs.live import TelemetryServer
 from repro.prediction.scoreboard import OnlineScoreboard
 
@@ -41,8 +42,10 @@ def metric(text: str, name: str, default: float = 0.0) -> float:
 
 def main(seed: int = 11) -> None:
     scenario = bluegene_scenario(duration_days=3.0, seed=seed)
+    # columnarize once: every hourly make_stream reads the same batch
+    records = RecordBatch.from_records(scenario.records)
     elsa = ELSA(scenario.machine)
-    elsa.fit(scenario.records, t_train_end=scenario.train_end)
+    elsa.fit(records, t_train_end=scenario.train_end)
 
     predictor = elsa.streaming_predictor(scenario.train_end, scenario.t_end)
     predictor.attach_scoreboard(OnlineScoreboard(faults=scenario.test_faults))
@@ -55,8 +58,8 @@ def main(seed: int = 11) -> None:
         t = scenario.train_end
         while t < scenario.t_end:
             t1 = min(t + hour, scenario.t_end)
-            chunk = elsa.make_stream(scenario.records, t, t1)
-            predictor.feed(chunk.records, chunk.event_ids)
+            chunk = elsa.make_stream(records, t, t1)
+            predictor.feed(chunk.batch, chunk.event_ids)
             t = t1
 
             # what any Prometheus scraper of this process would see:

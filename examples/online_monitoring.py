@@ -16,12 +16,15 @@ Usage::
 import sys
 
 from repro import ELSA, bluegene_scenario, evaluate_predictions
+from repro.columnar import RecordBatch
 
 
 def main(seed: int = 11) -> None:
     scenario = bluegene_scenario(duration_days=5.0, seed=seed)
+    # columnarize once: every hourly make_stream reads the same batch
+    records = RecordBatch.from_records(scenario.records)
     elsa = ELSA(scenario.machine)
-    model = elsa.fit(scenario.records, t_train_end=scenario.train_end)
+    model = elsa.fit(records, t_train_end=scenario.train_end)
     predictor = elsa.hybrid_predictor()
     print(
         f"trained: {len(predictor.chains)} chains armed "
@@ -32,12 +35,12 @@ def main(seed: int = 11) -> None:
     t = scenario.train_end
     total_preds = 0
     while t < scenario.t_end - hour:
-        stream = elsa.make_stream(scenario.records, t, t + hour)
+        stream = elsa.make_stream(records, t, t + hour)
         predictions = predictor.run(stream)
         stamp = f"[day {t / 86400.0:4.2f}]"
         if not predictions:
             print(f"{stamp} -- quiet hour "
-                  f"({len(stream.records):5d} messages)")
+                  f"({len(stream.batch):5d} messages)")
         for p in predictions:
             total_preds += 1
             anchor = model.event_name(p.anchor_event)[:38]
@@ -57,7 +60,7 @@ def main(seed: int = 11) -> None:
 
     # Compare against full-window evaluation for reference.
     full = predictor.run(
-        elsa.make_stream(scenario.records, scenario.train_end, scenario.t_end)
+        elsa.make_stream(records, scenario.train_end, scenario.t_end)
     )
     res = evaluate_predictions(full, scenario.test_faults)
     print(f"whole-window reference: precision {res.precision:.0%}, "

@@ -25,8 +25,6 @@ def main(seed: int = 11) -> None:
     elsa = ELSA(scenario.machine)
     model = elsa.fit(scenario.records, t_train_end=scenario.train_end)
 
-    from repro.signals.extraction import extract_signals
-
     stream = elsa.make_stream(
         scenario.records, scenario.train_end, scenario.t_end
     )

@@ -25,12 +25,12 @@ fan-degradation scenario.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
-from repro.core.elsa import ELSA
+from repro.columnar import RecordBatch
+from repro.core.elsa import ELSA, Records
 from repro.core.model import TrainedModel
 from repro.prediction.engine import Prediction
-from repro.simulation.trace import LogRecord
 
 
 class AdaptiveELSA(ELSA):
@@ -38,7 +38,7 @@ class AdaptiveELSA(ELSA):
 
     def predict_adaptive(
         self,
-        records: Sequence[LogRecord],
+        records: Records,
         t_start: float,
         t_end: float,
         update_interval: float = 86400.0,
@@ -49,11 +49,14 @@ class AdaptiveELSA(ELSA):
         Each interval is predicted with the *current* model (no
         lookahead), then the model is re-learned on the trailing window
         ending at the interval boundary.  Returns all predictions, in
-        emission order.
+        emission order.  A record list is columnarized once, and every
+        interval's stream and update reads that one batch.
         """
         if update_interval <= 0:
             raise ValueError("update_interval must be positive")
         self._require_model()
+        if not isinstance(records, RecordBatch):
+            records = RecordBatch.from_records(records)
         predictions: List[Prediction] = []
         #: model refresh timeline, for observability in tests/benches
         self.update_times: List[float] = []
@@ -73,7 +76,7 @@ class AdaptiveELSA(ELSA):
 
     def update_model(
         self,
-        records: Sequence[LogRecord],
+        records: Records,
         now: float,
         keep_seconds: Optional[float] = None,
     ) -> TrainedModel:

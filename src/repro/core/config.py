@@ -15,10 +15,10 @@ from repro.resilience.config import ResilienceConfig
 class PipelineConfig:
     """End-to-end knobs of the ELSA pipeline.
 
-    ``sampling_period`` is the paper's 10-second unit.
-    ``use_mined_templates`` switches between HELO-mined event types (the
-    production path) and the generator's ground-truth ids (useful for
-    ablating template-mining error out of downstream results).
+    ``sampling_period`` is the paper's 10-second unit.  Event types are
+    always the HELO-mined templates: the pipeline reads a log's
+    timestamp, location, severity and message, never a generator's
+    ground-truth ids.
     ``online_keep_seconds`` bounds the online signal history ("we keep
     only the last two months in the on-line module"); scaled scenarios
     keep proportionally less.
@@ -31,7 +31,6 @@ class PipelineConfig:
     """
 
     sampling_period: float = 10.0
-    use_mined_templates: bool = True
     online_keep_seconds: float = 14 * 86400.0
     miner: MinerConfig = field(default_factory=MinerConfig)
     grite: GriteConfig = field(default_factory=GriteConfig)

@@ -51,6 +51,11 @@ class MinerConfig:
     min_value_support: int = 5
 
 
+def _shape(message: str) -> Tuple[str, ...]:
+    """A message's normalized token tuple (its template shape)."""
+    return tuple(normalize_tokens(tokenize(message)))
+
+
 class HELOMiner:
     """Mines a :class:`TemplateTable` from raw messages."""
 
@@ -66,14 +71,34 @@ class HELOMiner:
         retained as support), which makes mining insensitive to volume
         skew between chatty and quiet event types.
         """
+        return self._mine([_shape(msg) for msg in messages])
+
+    def fit_transform(
+        self, messages: Sequence[str]
+    ) -> Tuple[TemplateTable, List[Optional[int]]]:
+        """Mine templates and classify the training messages.
+
+        Returns the table and one template id per input message, each
+        message normalized once for both.  A message with no tokens gets
+        ``None`` (no template has length 0); by construction every other
+        training message matches some mined template.
+        """
+        shapes = [_shape(msg) for msg in messages]
+        table = self._mine(shapes)
+        ids: List[Optional[int]] = []
+        for msg, norm in zip(messages, shapes):
+            tid = table.classify_tokens(norm) if norm else None
+            if tid is None and norm:  # pragma: no cover - defensive
+                raise RuntimeError(
+                    f"training message failed to classify: {msg!r}"
+                )
+            ids.append(tid)
+        return table, ids
+
+    def _mine(self, shapes: List[Tuple[str, ...]]) -> TemplateTable:
+        """Mine templates from normalized message shapes."""
         with obs.span("mine_templates") as span:
-            counts: Counter = Counter()
-            n_messages = 0
-            for msg in messages:
-                n_messages += 1
-                norm = tuple(normalize_tokens(tokenize(msg)))
-                if norm:
-                    counts[norm] += 1
+            counts: Counter = Counter(norm for norm in shapes if norm)
 
             by_len: Dict[int, List[Tuple[Tuple[str, ...], int]]] = (
                 defaultdict(list)
@@ -85,29 +110,12 @@ class HELOMiner:
             for length in sorted(by_len):
                 for group in self._split(by_len[length]):
                     table.add(self._collapse(group))
-            span["messages"] = n_messages
+            span["messages"] = len(shapes)
             span["shapes"] = len(counts)
             span["templates"] = len(table)
-        obs.counter("helo.messages_mined").inc(n_messages)
+        obs.counter("helo.messages_mined").inc(len(shapes))
         obs.counter("helo.templates_mined").inc(len(table))
         return table
-
-    def fit_transform(
-        self, messages: Sequence[str]
-    ) -> Tuple[TemplateTable, List[int]]:
-        """Mine templates and classify the training messages.
-
-        Returns the table and one template id per input message.  By
-        construction every training message matches some mined template.
-        """
-        table = self.fit(messages)
-        ids: List[int] = []
-        for msg in messages:
-            tid = table.classify_tokens(normalize_tokens(tokenize(msg)))
-            if tid is None:  # pragma: no cover - defensive
-                raise RuntimeError(f"training message failed to classify: {msg!r}")
-            ids.append(tid)
-        return table, ids
 
     # -- internals ------------------------------------------------------------
 

@@ -11,7 +11,7 @@ around a :class:`~repro.resilience.checkpoint.ResumableRun`:
    hook) or the scoreboard's sliding-window recall sinking below a
    floor marks the incumbent model as degraded.
 2. **Shadow retrain** — a candidate model is learned from a bounded
-   recent-window record buffer via
+   recent-window buffer of the fed batch segments via
    :meth:`~repro.core.elsa.ELSA.learn_candidate` (template ids stay
    stable; new message shapes mint new ids), holding out the most
    recent slice.
@@ -42,7 +42,10 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Optional, Sequence
 
+import numpy as np
+
 from repro import obs
+from repro.columnar import RecordBatch
 from repro.lifecycle.ladder import DegradationLadder
 from repro.lifecycle.manager import ModelManager
 from repro.prediction.engine import HybridPredictor, TestStream
@@ -51,7 +54,6 @@ from repro.resilience.checkpoint import (
     DEFAULT_LIFECYCLE,
     ResumableRun,
 )
-from repro.simulation.trace import LogRecord
 
 __all__ = ["LifecyclePolicy", "SelfHealingRun"]
 
@@ -169,8 +171,9 @@ class SelfHealingRun(ResumableRun):
             self.scoreboard = OnlineScoreboard(faults=self.faults)
             self.predictor.attach_scoreboard(self.scoreboard)
         self.drift = self._attach_drift_detector()
-        # bounded recent-window buffer the shadow retrainer learns from
-        self._buffer: Deque[LogRecord] = deque()
+        # bounded recent-window buffer the shadow retrainer learns
+        # from: the fed chunks, trimmed at the front
+        self._buffer: Deque[RecordBatch] = deque()
         self._clock = float(t_start)  # last fed record timestamp
         self._trigger: Optional[str] = None
         self._drift_started_at: Optional[float] = None
@@ -253,14 +256,26 @@ class SelfHealingRun(ResumableRun):
 
     # -- ResumableRun hooks --------------------------------------------------
 
-    def _after_chunk(self, batch: Sequence[LogRecord]) -> None:
-        """Buffer the chunk, then consider healing at its horizon."""
-        if batch:
-            self._clock = batch[-1].timestamp
-        self._buffer.extend(batch)
+    def _after_chunk(self, batch: RecordBatch) -> None:
+        """Buffer the chunk, then consider healing at its horizon.
+
+        Records leave the buffer's front while they are older than the
+        retrain window, stopping at the first one that is not.
+        """
+        self._clock = float(batch.timestamps[-1])
+        self._buffer.append(batch)
         horizon = self._clock - self.policy.retrain_window_seconds
-        while self._buffer and self._buffer[0].timestamp < horizon:
-            self._buffer.popleft()
+        while self._buffer:
+            old = self._buffer[0].timestamps < horizon
+            if old.all():
+                self._buffer.popleft()
+                continue
+            keep = int(np.argmin(old))
+            if keep:
+                self._buffer[0] = self._buffer[0].slice(
+                    keep, len(self._buffer[0])
+                )
+            break
         self._maybe_heal(self._clock)
 
     def _chunk_size(self) -> int:
@@ -361,11 +376,12 @@ class SelfHealingRun(ResumableRun):
         self._shadow_retrain(now, self._trigger)
 
     def _split_buffer(self, now: float, reason: str):
-        """Train/holdout slices of the buffer, or ``None`` if too thin."""
-        buf = list(self._buffer)
-        if not buf:
+        """Train/holdout batches of the buffer, or ``None`` if too thin."""
+        if not self._buffer:
             return None
-        t0 = buf[0].timestamp
+        buf = RecordBatch.concat(list(self._buffer))
+        ts = buf.timestamps
+        t0 = float(ts[0])
         holdout_start = now - self.policy.holdout_fraction * (now - t0)
         if (
             reason == "drift"
@@ -374,18 +390,15 @@ class SelfHealingRun(ResumableRun):
             and self._drift_started_at > t0
         ):
             # learn the post-shift regime, not a blend of both
-            post = [
-                r for r in buf if r.timestamp >= self._drift_started_at
-            ]
-            n_train = sum(
-                1 for r in post if r.timestamp < holdout_start
-            )
+            post = ts >= self._drift_started_at
+            n_train = int(np.count_nonzero(post & (ts < holdout_start)))
             if n_train >= self.policy.min_train_records:
-                buf = post
+                buf = buf.take(post)
+                ts = buf.timestamps
                 t0 = self._drift_started_at
-        train = [r for r in buf if r.timestamp < holdout_start]
-        holdout = [r for r in buf if r.timestamp >= holdout_start]
-        if len(train) < self.policy.min_train_records or not holdout:
+        early = ts < holdout_start
+        train, holdout = buf.take(early), buf.take(~early)
+        if len(train) < self.policy.min_train_records or not len(holdout):
             return None
         return train, holdout, t0, holdout_start
 
@@ -452,30 +465,23 @@ class SelfHealingRun(ResumableRun):
             self._swap(candidate, now, reason, cand, incumbent)
 
     def _validate(
-        self, model, holdout, t_start: float, t_end: float, faults
+        self, model, holdout: RecordBatch, t_start: float, t_end: float,
+        faults,
     ) -> dict:
         """Replay the holdout through a fresh predictor's ``run``; score it.
 
         Classification uses a *copy* of the online HELO state so the
-        replay cannot mutate the live classifier; ids are filtered to
-        the candidate's own ``n_types`` (each model sees exactly the
-        templates it knows).
+        replay cannot mutate the live classifier; the stream reads ids
+        against the scored model's own ``n_types`` (each model sees
+        exactly the templates it knows).
         """
-        cfg = self.elsa.config
-        if cfg.use_mined_templates:
-            from repro.helo.online import OnlineHELO
+        from repro.helo.online import OnlineHELO
 
-            helo = OnlineHELO.from_state(self.elsa.online_state_dict())
-            ids = helo.observe_many([r.message for r in holdout])
-        else:
-            ids = [r.event_type for r in holdout]
-        ids = [
-            i if (i is not None and i < model.n_types) else None
-            for i in ids
-        ]
+        helo = OnlineHELO.from_state(self.elsa.online_state_dict())
+        cfg = self.elsa.config
         stream = TestStream(
-            records=holdout,
-            event_ids=ids,
+            batch=holdout,
+            event_ids=self.elsa.classify(holdout, helo),
             n_types=model.n_types,
             t_start=t_start,
             t_end=t_end,
@@ -565,7 +571,7 @@ class SelfHealingRun(ResumableRun):
             "rollbacks": self.rollbacks,
             "backoff_seconds": self._backoff,
             "not_before": self._not_before,
-            "buffer_records": len(self._buffer),
+            "buffer_records": sum(len(b) for b in self._buffer),
             "breakers": self.predictor.breakers.states(),
             "manager": self.manager.state(),
         }

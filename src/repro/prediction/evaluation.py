@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Sequence, Set
 
 import numpy as np
 
@@ -140,14 +140,6 @@ class EvaluationResult:
             f"({self.chains_used_fraction:.1%}) "
             f"predicted failures={self.n_predicted_faults}"
         )
-
-
-def _coverage(pred_locs: Tuple[str, ...], fault_locs: Tuple[str, ...]) -> float:
-    """Fraction of the fault's locations covered by the prediction."""
-    if not fault_locs:
-        return 0.0
-    fault_set = set(fault_locs)
-    return len(fault_set.intersection(pred_locs)) / len(fault_set)
 
 
 def evaluate_predictions(

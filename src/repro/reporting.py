@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.checkpoint import CheckpointParams, waste_gain
+from repro.columnar import RecordBatch
 from repro.core.elsa import ELSA
 from repro.datasets.scenarios import Scenario, bluegene_scenario
 from repro.prediction.evaluation import (
@@ -51,16 +52,15 @@ def run_methods(
     scenario: Scenario, elsa: Optional[ELSA] = None
 ) -> List[MethodResult]:
     """Fit (if needed) and evaluate the three Table III methods."""
+    records = RecordBatch.from_records(scenario.records)  # once, for all
     if elsa is None:
         elsa = ELSA(scenario.machine)
-        elsa.fit(scenario.records, t_train_end=scenario.train_end)
-    stream = elsa.make_stream(
-        scenario.records, scenario.train_end, scenario.t_end
-    )
+        elsa.fit(records, t_train_end=scenario.train_end)
+    stream = elsa.make_stream(records, scenario.train_end, scenario.t_end)
     methods = {
         "hybrid": elsa.hybrid_predictor(),
         "signal": elsa.signal_predictor(),
-        "datamining": elsa.datamining_predictor(scenario.records),
+        "datamining": elsa.datamining_predictor(records),
     }
     out: List[MethodResult] = []
     for name, predictor in methods.items():

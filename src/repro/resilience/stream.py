@@ -234,10 +234,6 @@ def _insert_gap_markers(out, gaps, cfg: ResilienceConfig):
     new_ts = np.insert(ots, gaps, mts)
     new_lids = np.insert(out.loc_ids, gaps, np.int32(mloc))
     new_sevs = np.insert(out.severities, gaps, np.int8(int(Severity.WARNING)))
-    tids = out.template_ids
-    new_tids = (
-        None if tids is None else np.insert(tids, gaps, np.int64(-1))
-    )
     msgs = out.messages
     ets = out.event_types
     fids = out.fault_ids
@@ -275,7 +271,6 @@ def _insert_gap_markers(out, gaps, cfg: ResilienceConfig):
         new_sevs,
         new_msgs,
         out.loc_pool,
-        template_ids=new_tids,
         event_types=new_ets,
         fault_ids=new_fids,
         loc_index=out._loc_index,

@@ -15,14 +15,13 @@ months" (section III.A); :meth:`SignalSet.extend` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro import obs
-from repro.simulation.trace import LogRecord
+from repro.columnar import RecordBatch
 
 #: The paper's sampling period, in seconds.
 DEFAULT_SAMPLING_PERIOD = 10.0
@@ -197,32 +196,25 @@ class SignalSet:
 
 
 def extract_signals(
-    records: Sequence[LogRecord],
-    event_ids: Optional[Sequence[Optional[int]]] = None,
+    batch: RecordBatch,
+    event_ids: np.ndarray,
     n_types: Optional[int] = None,
     sampling_period: float = DEFAULT_SAMPLING_PERIOD,
     t_start: Optional[float] = None,
     t_end: Optional[float] = None,
 ) -> SignalSet:
-    """Extract the :class:`SignalSet` of a record stream.
+    """Extract the :class:`SignalSet` of a classified record batch.
 
-    ``event_ids`` supplies the event type of each record (e.g. from a
-    mined :class:`~repro.helo.template.TemplateTable`); when omitted, the
-    records' ground-truth ``event_type`` field is used.  Records whose id
-    is ``None`` (unclassified) are skipped.
+    ``event_ids`` parallels ``batch``: int64 event-type ids (e.g. from
+    a mined :class:`~repro.helo.template.TemplateTable`), ``-1`` for an
+    unclassified record, which is skipped.
     """
-    if event_ids is None:
-        event_ids = [r.event_type for r in records]
-    if len(event_ids) != len(records):
-        raise ValueError("event_ids must parallel records")
-    with obs.span("extract", records=len(records)) as span:
-        pairs = [
-            (tid, r.timestamp)
-            for tid, r in zip(event_ids, records)
-            if tid is not None
-        ]
-        tids = np.array([p[0] for p in pairs], dtype=np.int64)
-        times = np.array([p[1] for p in pairs], dtype=np.float64)
+    if len(event_ids) != len(batch):
+        raise ValueError("event_ids must parallel the batch")
+    with obs.span("extract", records=len(batch)) as span:
+        keep = event_ids >= 0
+        tids = event_ids[keep]
+        times = batch.timestamps[keep]
         if n_types is None:
             n_types = int(tids.max()) + 1 if tids.size else 1
         if t_start is None:
@@ -234,10 +226,11 @@ def extract_signals(
         signals = SignalSet.from_events(
             tids, times, n_types, t_end - t_start, sampling_period, t_start
         )
+        skipped = len(batch) - tids.size
         span["n_types"] = signals.n_types
         span["n_samples"] = signals.n_samples
-        span["skipped"] = len(records) - len(pairs)
+        span["skipped"] = skipped
     obs.counter("signals.extractions").inc()
-    obs.counter("signals.records_ingested").inc(len(pairs))
-    obs.counter("signals.records_unclassified").inc(len(records) - len(pairs))
+    obs.counter("signals.records_ingested").inc(tids.size)
+    obs.counter("signals.records_unclassified").inc(skipped)
     return signals

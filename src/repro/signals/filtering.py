@@ -4,9 +4,11 @@ The online outlier detector is "a filtering signal analysis module so that
 it can be easily inserted between signal analysis modules" built on "a
 causal moving data window … appropriate to realtime applications"
 (section III.B.1).  This module provides the causal moving median and
-average both as vectorized offline transforms (for preprocessing whole
-training signals) and as O(log N)-per-point streaming primitives used by
-:class:`repro.signals.outliers.OnlineOutlierDetector`.
+average as offline transforms over whole training signals, and
+:class:`RollingMedian`, the O(log N)-per-point sliding median behind
+:func:`causal_moving_median`.
+:class:`repro.signals.outliers.OnlineOutlierDetector` keeps its own
+window, ``_DualWindow``: raw and corrected history in one sorted view.
 """
 
 from __future__ import annotations

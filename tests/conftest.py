@@ -11,7 +11,18 @@ import numpy as np
 import pytest
 
 from repro import ELSA
+from repro.columnar import RecordBatch
 from repro.datasets import bluegene_scenario
+
+
+def ground_truth(records):
+    """A record list as a batch plus its generator ids (int64, ``-1`` for
+    none): hand-built classified input for engine-level tests."""
+    ids = np.array(
+        [-1 if r.event_type is None else r.event_type for r in records],
+        dtype=np.int64,
+    )
+    return RecordBatch.from_records(records), ids
 
 
 @pytest.fixture(scope="session")

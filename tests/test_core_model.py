@@ -11,6 +11,7 @@ from repro.signals.characterize import NormalBehavior
 from repro.simulation.templates import SignalClass
 from repro.simulation.topology import build_bluegene_machine
 from repro.simulation.trace import LogRecord, Severity
+from tests.conftest import ground_truth
 
 
 def _model(**overrides):
@@ -95,9 +96,10 @@ class TestEngineDetectorSelection:
             LogRecord(t, node, Severity.INFO, "beat", event_type=0)
             for t in np.arange(0.0, 2000.0, 50.0)
         ]
+        batch, ids = ground_truth(records)
         stream = TestStream(
-            records=records,
-            event_ids=[r.event_type for r in records],
+            batch=batch,
+            event_ids=ids,
             n_types=2,
             t_start=0.0,
             t_end=4000.0,
@@ -141,9 +143,10 @@ class TestEngineDetectorSelection:
             records.append(LogRecord(3000.0 + 0.1 * k, node,
                                      Severity.WARNING, "n", event_type=0))
         records.sort(key=lambda r: r.timestamp)
+        batch, ids = ground_truth(records)
         stream = TestStream(
-            records=records,
-            event_ids=[r.event_type for r in records],
+            batch=batch,
+            event_ids=ids,
             n_types=2,
             t_start=0.0,
             t_end=4000.0,

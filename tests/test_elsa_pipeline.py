@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import ELSA, PipelineConfig, evaluate_predictions, obs
+from repro import ELSA, evaluate_predictions, obs
 from repro.simulation.trace import Severity
 
 
@@ -115,18 +115,6 @@ class TestPredict:
         stream = fitted_elsa.make_stream(sc.records, sc.train_end, sc.t_end)
         for p in fitted_elsa.signal_predictor().run(stream):
             assert len(p.locations) == 1
-
-
-class TestGroundTruthTemplates:
-    def test_pipeline_with_ground_truth_ids(self, small_scenario):
-        sc = small_scenario
-        cfg = PipelineConfig(use_mined_templates=False)
-        elsa = ELSA(sc.machine, cfg)
-        model = elsa.fit(sc.records, t_train_end=sc.train_end)
-        assert model.table is None
-        preds = elsa.predict(sc.records, sc.train_end, sc.t_end)
-        res = evaluate_predictions(preds, sc.test_faults)
-        assert res.recall > 0.2
 
 
 class TestObservability:

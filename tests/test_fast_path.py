@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.columnar import RecordBatch
 from repro.helo.template import MinedTemplate, TemplateTable
 from repro.prediction.engine import TestStream
 from repro.signals.bank import BankLayoutError, VectorizedDetectorBank
@@ -804,15 +805,15 @@ def _stream_predictions(elsa, scenario, fast, chunk=700, hop=None):
             # checkpoint onto the *other* engine mid-stream
             fast = not fast
             predictor = engine(fast, predictor.state_dict())
+        n_types = elsa.model.n_types
         if fast:
-            ids = elsa._classify(batch, online=True)
+            batch = RecordBatch.from_records(batch)
+            ids = elsa.classify(batch)
+            predictor.feed(batch, np.where(ids < n_types, ids, -1))
         else:
             ids = classify_linear(elsa, batch)
-        n_types = elsa.model.n_types
-        ids = [t if (t is not None and t < n_types) else None for t in ids]
-        if fast:
-            predictor.feed(batch, ids)
-        else:
+            ids = [t if (t is not None and t < n_types) else None
+                   for t in ids]
             feed_scalar(predictor, batch, ids)
     return predictor.finish()
 
@@ -893,13 +894,12 @@ class TestRunEqualsBatchReference:
         span = full.t_end - full.t_start
         t0 = full.t_start + start * span
         t1 = min(full.t_end, t0 + length * span)
-        keep = [
-            i for i, r in enumerate(full.records) if t0 <= r.timestamp < t1
-        ]
-        order = np.random.default_rng(seed).permutation(len(keep))
+        ts = full.batch.timestamps
+        keep = np.flatnonzero((ts >= t0) & (ts < t1))
+        rows = keep[np.random.default_rng(seed).permutation(len(keep))]
         stream = TestStream(
-            records=[full.records[keep[i]] for i in order],
-            event_ids=[full.event_ids[keep[i]] for i in order],
+            batch=full.batch.take(rows),
+            event_ids=full.event_ids[rows],
             n_types=full.n_types,
             t_start=t0,
             t_end=t1,

@@ -16,11 +16,13 @@ from __future__ import annotations
 import copy
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
+from repro.columnar import RecordBatch
 from repro.lifecycle import (
     DegradationLadder,
     LifecyclePolicy,
@@ -385,14 +387,16 @@ class TestSwapAtomicity:
     ):
         elsa = copy.deepcopy(fitted_elsa)
         scn = small_scenario
-        test = [r for r in scn.records if r.timestamp >= scn.train_end]
+        test = RecordBatch.from_records(scn.test_records)
         half = len(test) // 2
+        n_types = elsa.model.n_types
+
+        def classify(batch):
+            ids = elsa.classify(batch)
+            return np.where(ids < n_types, ids, -1)
 
         predictor = elsa.streaming_predictor(scn.train_end, scn.t_end)
-        ids = elsa._classify(test[:half], online=True)
-        n_types = elsa.model.n_types
-        ids = [i if (i is not None and i < n_types) else None for i in ids]
-        predictor.feed(test[:half], ids)
+        predictor.feed(test[:half], classify(test[:half]))
         n_before = len(predictor._predictions)
         k_before = predictor._k
         fed_before = predictor.n_records_fed
@@ -406,9 +410,7 @@ class TestSwapAtomicity:
         assert predictor.n_records_fed == fed_before
         assert obs.counter("lifecycle.predictor_swaps").value == 1
 
-        ids = elsa._classify(test[half:], online=True)
-        ids = [i if (i is not None and i < n_types) else None for i in ids]
-        predictor.feed(test[half:], ids)
+        predictor.feed(test[half:], classify(test[half:]))
         out = predictor.finish()
 
         # no duplicates across the swap boundary and emission order holds

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.columnar import RecordBatch
 from repro.location.propagation import (
     ChainLocationProfile,
     LocationIndex,
@@ -14,6 +15,7 @@ from repro.mining.correlations import CorrelationChain, GradualItem
 from repro.mining.grite import GriteMiner
 from repro.simulation.topology import HierarchyLevel, build_bluegene_machine
 from repro.simulation.trace import LogRecord, Severity
+from tests.conftest import ground_truth
 
 
 @pytest.fixture(scope="module")
@@ -32,29 +34,30 @@ def _records(machine, events):
 class TestLocationIndex:
     def test_lookup(self, machine):
         recs = _records(machine, [(5.0, 0, 1), (25.0, 3, 1), (5.0, 7, 2)])
-        idx = LocationIndex(recs, [r.event_type for r in recs])
+        idx = LocationIndex(*ground_truth(recs))
         assert idx.locations_near(1, 0, 0) == [machine.nodes[0]]
         assert idx.locations_near(1, 2, 0) == [machine.nodes[3]]
         assert idx.locations_near(2, 0, 1) == [machine.nodes[7]]
 
     def test_tolerance_widens(self, machine):
         recs = _records(machine, [(5.0, 0, 1), (45.0, 3, 1)])
-        idx = LocationIndex(recs, [r.event_type for r in recs])
+        idx = LocationIndex(*ground_truth(recs))
         assert len(idx.locations_near(1, 2, 3)) == 2
 
     def test_unknown_event_empty(self, machine):
-        idx = LocationIndex([], [])
+        idx = LocationIndex(*ground_truth([]))
         assert idx.locations_near(9, 0, 5) == []
 
     def test_none_ids_skipped(self, machine):
         recs = _records(machine, [(5.0, 0, 1)])
-        idx = LocationIndex(recs, [None])
+        idx = LocationIndex(RecordBatch.from_records(recs), np.array([-1]))
         assert idx.locations_near(1, 0, 2) == []
 
     def test_parallel_enforced(self, machine):
         recs = _records(machine, [(5.0, 0, 1)])
         with pytest.raises(ValueError):
-            LocationIndex(recs, [])
+            LocationIndex(RecordBatch.from_records(recs),
+                          np.empty(0, dtype=np.int64))
 
 
 class TestChainLocationProfile:
@@ -117,14 +120,13 @@ class TestExtractLocationProfiles:
             events.append((t0, 0, 0))
             events.append((t0 + 30.0, 1, 1))
         recs = _records(machine, events)
-        ids = [r.event_type for r in recs]
         trains = {
             0: np.array([int(e[0] // 10) for e in events[::2]]),
             1: np.array([int(e[0] // 10) for e in events[1::2]]),
         }
         chain = CorrelationChain(items=(GradualItem(0, 0), GradualItem(3, 1)))
         miner = GriteMiner()
-        idx = LocationIndex(recs, ids)
+        idx = LocationIndex(*ground_truth(recs))
         profiles = extract_location_profiles([chain], miner, trains, idx)
         assert len(profiles) == 1
         prof = profiles[0]

@@ -6,6 +6,7 @@ from repro.prediction.engine import Prediction, TestStream
 from repro.prediction.metalearn import MetaConfig, MetaPredictor, RuleStats
 from repro.simulation.topology import build_bluegene_machine
 from repro.simulation.trace import LogRecord, Severity
+from tests.conftest import ground_truth
 
 
 @pytest.fixture(scope="module")
@@ -29,9 +30,10 @@ def _stream(machine, events, t_end=100000.0):
                   event_type=e)
         for t, n, e in sorted(events)
     ]
+    batch, ids = ground_truth(records)
     return TestStream(
-        records=records,
-        event_ids=[r.event_type for r in records],
+        batch=batch,
+        event_ids=ids,
         n_types=5,
         t_start=0.0,
         t_end=t_end,

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.columnar import RecordBatch
 from repro.location.propagation import LocationPredictor
 from repro.mining.correlations import CorrelationChain, GradualItem
 from repro.prediction.analysis_time import AnalysisTimeModel
@@ -25,6 +26,7 @@ from repro.signals.characterize import NormalBehavior
 from repro.simulation.templates import SignalClass
 from repro.simulation.topology import build_bluegene_machine
 from repro.simulation.trace import FaultEvent, LogRecord, Severity
+from tests.conftest import ground_truth
 
 
 @pytest.fixture(scope="module")
@@ -46,9 +48,10 @@ def _stream(machine, events, t_end=4000.0, n_types=4):
                   event_type=e)
         for t, n, e in sorted(events)
     ]
+    batch, ids = ground_truth(records)
     return TestStream(
-        records=records,
-        event_ids=[r.event_type for r in records],
+        batch=batch,
+        event_ids=ids,
         n_types=n_types,
         t_start=0.0,
         t_end=t_end,
@@ -174,11 +177,16 @@ class TestTestStream:
 
     def test_validation(self, machine):
         with pytest.raises(ValueError):
-            TestStream(records=[], event_ids=[1], n_types=1,
-                       t_start=0.0, t_end=10.0)
+            TestStream(batch=RecordBatch.empty(), event_ids=np.array([1]),
+                       n_types=1, t_start=0.0, t_end=10.0)
         with pytest.raises(ValueError):
-            TestStream(records=[], event_ids=[], n_types=1,
+            TestStream(batch=RecordBatch.empty(),
+                       event_ids=np.empty(0, dtype=np.int64), n_types=1,
                        t_start=10.0, t_end=10.0)
+
+    def test_ids_unknown_to_the_model_read_as_unclassified(self, machine):
+        stream = _stream(machine, [(5.0, 0, 0), (7.0, 1, 3)], n_types=2)
+        assert stream.event_ids.tolist() == [0, -1]
 
 
 class TestDataMiningBaseline:
@@ -201,7 +209,7 @@ class TestDataMiningBaseline:
     def test_rule_mining(self, machine):
         recs = self._train_records(machine)
         dm = DataMiningPredictor().fit(
-            recs, [r.event_type for r in recs],
+            *ground_truth(recs),
             severities={0: Severity.WARNING, 1: Severity.FAILURE,
                         2: Severity.WARNING},
         )
@@ -220,7 +228,7 @@ class TestDataMiningBaseline:
             recs.append(LogRecord(t0 + 1.0, machine.nodes[0],
                                   Severity.FAILURE, "b", event_type=1))
         dm = DataMiningPredictor().fit(
-            recs, [r.event_type for r in recs],
+            *ground_truth(recs),
             severities={0: Severity.WARNING, 1: Severity.FAILURE},
         )
         assert dm.rules == []  # median lead below min_median_lead
@@ -228,7 +236,7 @@ class TestDataMiningBaseline:
     def test_online_prediction(self, machine):
         recs = self._train_records(machine)
         dm = DataMiningPredictor().fit(
-            recs, [r.event_type for r in recs],
+            *ground_truth(recs),
             severities={0: Severity.WARNING, 1: Severity.FAILURE,
                         2: Severity.WARNING},
         )
@@ -243,7 +251,7 @@ class TestDataMiningBaseline:
     def test_suppression(self, machine):
         recs = self._train_records(machine)
         dm = DataMiningPredictor().fit(
-            recs, [r.event_type for r in recs],
+            *ground_truth(recs),
             severities={0: Severity.WARNING, 1: Severity.FAILURE,
                         2: Severity.WARNING},
         )

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.columnar import RecordBatch
 from repro.location.propagation import LocationPredictor
 from repro.mining.correlations import CorrelationChain, GradualItem
 from repro.mining.grite import GriteMiner
@@ -115,7 +116,8 @@ class TestEngineEmitsIntervals:
             LogRecord(1000.0, machine.nodes[0], Severity.WARNING, "a",
                       event_type=0),
         ]
-        stream = TestStream(records=records, event_ids=[0], n_types=2,
+        stream = TestStream(batch=RecordBatch.from_records(records),
+                            event_ids=np.array([0]), n_types=2,
                             t_start=0.0, t_end=2000.0)
         preds = engine.run(stream)
         assert len(preds) == 1

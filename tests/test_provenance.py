@@ -137,7 +137,7 @@ class TestEngineParity:
         streaming = fitted_elsa.streaming_predictor(
             small_scenario.train_end, small_scenario.t_end
         )
-        streaming.feed(classified.records, classified.event_ids)
+        streaming.feed(classified.batch, classified.event_ids)
         stream_preds = streaming.finish()
         assert [p.to_dict() for p in stream_preds] == (
             [p.to_dict() for p in batch_preds]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import ELSA, evaluate_predictions
+from repro.columnar import RecordBatch
 from repro.helo import HELOMiner, OnlineHELO
 from repro.mining.grite import GriteMiner
 from repro.prediction.engine import TestStream
@@ -11,6 +12,7 @@ from repro.signals.characterize import characterize_signal
 from repro.signals.extraction import extract_signals
 from repro.simulation.topology import build_bluegene_machine
 from repro.simulation.trace import LogRecord, Severity
+from tests.conftest import ground_truth
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +73,8 @@ class TestDegenerateSignals:
         assert nb.median == 5.0
 
     def test_extract_from_empty_records(self):
-        s = extract_signals([], event_ids=[], n_types=3, t_end=100.0)
+        s = extract_signals(RecordBatch.empty(), np.empty(0, dtype=np.int64),
+                            n_types=3, t_end=100.0)
         assert s.total_counts().sum() == 0
 
     def test_huge_counts(self):
@@ -82,7 +85,8 @@ class TestDegenerateSignals:
 
 class TestDegenerateStreams:
     def test_predictor_on_empty_stream(self, fitted_elsa, machine):
-        stream = TestStream(records=[], event_ids=[],
+        stream = TestStream(batch=RecordBatch.empty(),
+                            event_ids=np.empty(0, dtype=np.int64),
                             n_types=fitted_elsa.model.n_types,
                             t_start=0.0, t_end=100.0)
         assert fitted_elsa.hybrid_predictor().run(stream) == []
@@ -96,7 +100,8 @@ class TestDegenerateStreams:
             LogRecord(1000.0, "not-a-real-node", Severity.WARNING,
                       "whatever", event_type=anchor)
         ]
-        stream = TestStream(records=records, event_ids=[anchor],
+        batch, ids = ground_truth(records)
+        stream = TestStream(batch=batch, event_ids=ids,
                             n_types=m.n_types, t_start=0.0, t_end=5000.0)
         preds = fitted_elsa.hybrid_predictor().run(stream)
         for p in preds:
@@ -109,7 +114,8 @@ class TestDegenerateStreams:
             LogRecord(500.0, "n", Severity.WARNING, "x", event_type=anchor)
             for _ in range(50)
         ]
-        stream = TestStream(records=records, event_ids=[anchor] * 50,
+        batch, ids = ground_truth(records)
+        stream = TestStream(batch=batch, event_ids=ids,
                             n_types=m.n_types, t_start=0.0, t_end=2000.0)
         preds = fitted_elsa.hybrid_predictor().run(stream)
         # suppression bounds the burst to at most one per chain
