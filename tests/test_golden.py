@@ -18,7 +18,11 @@ holds the sha256 of the canonical prediction JSON
 * ``fleet`` — ``Fleet.run`` over 4 hashed tenants, on record objects
   and on a ``RecordBatch``; and the same 4 tenants fed through
   ``IngestAPI.handle_request`` in process (NDJSON bodies, sequenced
-  per-tenant batches, one seal per tenant).
+  per-tenant batches, one seal per tenant);
+* ``postmortem`` — the predictions of the ``shard_restart`` incident
+  bundle captured when one of those 4 tenants is killed after its
+  first checkpoint, which ``replay_bundle`` reproduces from the
+  bundle's checkpoint and record window.
 
 The input digest is checked first, so a change in the generated
 scenario (a new numpy, say) fails with its own message instead of as
@@ -41,7 +45,7 @@ import numpy as np
 import pytest
 import scipy
 
-from repro import ELSA, AdaptiveELSA
+from repro import ELSA, AdaptiveELSA, obs
 from repro.columnar import RecordBatch
 from repro.fleet import (
     Fleet,
@@ -51,6 +55,7 @@ from repro.fleet import (
     hashed_tenant_key,
 )
 from repro.fleet.ingest import encode_records
+from repro.obs.forensics import replay_bundle
 from repro.prediction.metalearn import MetaPredictor
 from repro.resilience.checkpoint import ResumableRun, load_checkpoint
 from repro.simulation.trace import LogRecord, Severity
@@ -61,6 +66,11 @@ TENANTS = ["t0", "t1", "t2", "t3"]
 
 #: records per ingest request, per tenant
 INGEST_BATCH = 64
+
+#: the tenant the postmortem run kills, and the record count it dies
+#: at (past the first checkpoint, at ``FleetPolicy.checkpoint_every``)
+VICTIM = "t0"
+KILL_AT = 2500
 
 
 def _sha(payload) -> str:
@@ -236,6 +246,33 @@ class Pipeline:
         finally:
             fleet.close()
 
+    def postmortem(self, records, workdir: Path):
+        """Kill :data:`VICTIM` once past its first checkpoint in a
+        forensics-bound 4-tenant fleet, then replay the bundle.
+
+        Returns the captured bundle's manifest, its recorded
+        predictions and the :func:`replay_bundle` result.
+        """
+        sc = self.sc
+        obs.reset()
+        fleet = Fleet.build(
+            self.fresh(), TENANTS, sc.train_end, sc.t_end,
+            hashed_tenant_key(len(TENANTS)), workdir / "ckpts",
+            clock=ManualClock(), register=False,
+        )
+        try:
+            fleet.bind_forensics(workdir / "inc")
+            fleet.kill(VICTIM, after_records=KILL_AT)
+            fleet.run(records)
+            [bundle] = obs.get_incident_manager().bundles()
+        finally:
+            fleet.close()
+            obs.reset()
+        path = Path(bundle["path"])
+        recorded = json.loads((path / "predictions.json").read_text())
+        result = replay_bundle(path, self.fresh())
+        return bundle, recorded["predictions"], result
+
     def ingest(self, records, workdir: Path):
         """The HTTP ingest contract in process, without sockets.
 
@@ -307,6 +344,7 @@ def compute(scenario, workdir: Path) -> dict:
         "adaptive": prediction_digest(p.adaptive()),
         "model": model_digest(p.elsa.model),
         "fleet": fleet_digest(p.fleet(test, workdir / "fleet")),
+        "postmortem": _sha(p.postmortem(test, workdir / "postmortem")[1]),
     }
 
 
@@ -415,6 +453,17 @@ class TestGoldenDigests:
         assert statuses and set(statuses) == {200}
         assert sorted(sealed) == TENANTS
         _expect(golden, "fleet", _sha(sealed))
+
+    def test_postmortem_replay(self, pipeline, golden, tmp_path):
+        bundle, predictions, result = pipeline.postmortem(
+            pipeline.sc.test_records, tmp_path
+        )
+        assert bundle["kind"] == "shard_restart"
+        assert bundle["tenant"] == VICTIM
+        assert predictions
+        assert result["from_checkpoint"] is True
+        assert result["identical"] is True, result
+        _expect(golden, "postmortem", _sha(predictions))
 
 
 def main() -> int:
