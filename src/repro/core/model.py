@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -26,7 +26,7 @@ class TrainedModel:
     for the §IV.A statistics.
     """
 
-    table: Optional[TemplateTable]
+    table: TemplateTable
     n_types: int
     behaviors: Dict[int, NormalBehavior]
     trains: Dict[int, np.ndarray]
@@ -55,14 +55,8 @@ class TrainedModel:
 
     def event_name(self, event_type: int) -> str:
         """Human-readable name of an event type (template skeleton)."""
-        if self.table is not None:
-            return self.table[event_type].skeleton()
-        return f"event<{event_type}>"
+        return self.table[event_type].skeleton()
 
     def describe_chain(self, chain: CorrelationChain) -> str:
         """Render a chain in the paper's Table I listing style."""
-        names = (
-            self.table.skeletons() if self.table is not None
-            else [f"event<{i}>" for i in range(self.n_types)]
-        )
-        return chain.describe(names)
+        return chain.describe(self.table.skeletons())

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.model import TrainedModel
+from repro.helo.template import MinedTemplate, TemplateTable
 from repro.location.propagation import LocationPredictor
 from repro.mining.correlations import CorrelationChain, GradualItem
 from repro.prediction.engine import HybridPredictor, PredictorConfig, TestStream
@@ -20,9 +21,13 @@ def _model(**overrides):
         items=(GradualItem(0, 0), GradualItem(3, 1)), support=5,
         confidence=1.0,
     )
+    table = TemplateTable([
+        MinedTemplate(tokens=("link", "error", None)),
+        MinedTemplate(tokens=("node", "card", "failed")),
+    ])
     defaults = dict(
-        table=None,
-        n_types=3,
+        table=table,
+        n_types=2,
         behaviors={},
         trains={},
         chains=[chain],
@@ -41,8 +46,11 @@ def _model(**overrides):
 
 class TestTrainedModel:
     def test_event_name_without_table(self):
+        """Every model carries its mined table (there is no table-less
+        model any more): an event is named by its template skeleton."""
         m = _model()
-        assert m.event_name(2) == "event<2>"
+        assert m.event_name(0) == "link error *"
+        assert m.event_name(1) == "node card failed"
 
     def test_info_fraction_empty(self):
         m = _model(chains=[], predictive_chains=[], info_chains=[])
@@ -57,9 +65,11 @@ class TestTrainedModel:
         assert m.info_chain_fraction == pytest.approx(0.5)
 
     def test_describe_chain_without_table(self):
+        """A chain is listed by its members' template skeletons (there
+        is no ``event<i>`` fallback for a table-less model any more)."""
         m = _model()
         text = m.describe_chain(m.predictive_chains[0])
-        assert "event<0>" in text and "event<1>" in text
+        assert text == "link error *\nafter 3 time unit(s): node card failed"
 
     def test_span_quantiles_default_empty(self):
         assert _model().span_quantiles == {}
