@@ -22,110 +22,35 @@ from typing import Optional, Tuple
 import numpy as np
 
 
-#: minimum lag*size product before the FFT path pays for its setup
-_FFT_MIN_WORK = 32_768
-
-
 def cross_correlation(
-    x: np.ndarray, y: np.ndarray, max_lag: int, method: str = "auto"
+    x: np.ndarray, y: np.ndarray, max_lag: int
 ) -> np.ndarray:
     """Normalized cross-correlation ``corr[lag] = corr(x[t], y[t+lag])``.
 
     Lags run from 0 to ``max_lag`` inclusive; both inputs are centered and
     scaled, so outputs are Pearson correlations in ``[-1, 1]`` (zero when
-    either window is constant).
-
-    ``method`` selects the implementation: ``"loop"`` is the per-lag
-    reference, ``"fft"`` computes every lag's cross term with one FFT
-    product plus prefix sums for the per-lag means and variances (O(n
-    log n) instead of O(lags·n)), ``"auto"`` picks FFT once the work is
-    large enough to amortize the transforms.  The two agree to float
-    tolerance (different summation order), not bit for bit — tiny
-    inputs stay on the loop for that reason.
+    either window is constant).  One :class:`CachedCorrelator` over
+    ``x`` computes it.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.size != y.size:
-        raise ValueError("signals must share length")
-    if max_lag < 0 or max_lag >= x.size:
-        raise ValueError("max_lag out of range")
-    if method not in ("auto", "fft", "loop"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "fft" or (
-        method == "auto" and (max_lag + 1) * x.size >= _FFT_MIN_WORK
-    ):
-        return _cross_correlation_fft(x, y, max_lag)
-    out = np.zeros(max_lag + 1)
-    for lag in range(max_lag + 1):
-        a = x[: x.size - lag]
-        b = y[lag:]
-        sa, sb = a.std(), b.std()
-        if sa <= 0 or sb <= 0:
-            continue
-        out[lag] = float(np.mean((a - a.mean()) * (b - b.mean())) / (sa * sb))
-    return out
-
-
-def _cross_correlation_fft(
-    x: np.ndarray, y: np.ndarray, max_lag: int
-) -> np.ndarray:
-    """All-lags Pearson correlation via one FFT product.
-
-    For lag ℓ the overlap is ``a = x[:n-ℓ]``, ``b = y[ℓ:]``.  The cross
-    term ``Σ a·b`` for *every* ℓ is one circular correlation (computed
-    with real FFTs and zero padding); per-lag sums and sums of squares
-    of the two windows come from prefix sums, giving means and
-    variances in O(1) per lag.  Windows whose variance underflows are
-    reported as 0 like the reference loop.
-    """
-    n = x.size
-    lags = np.arange(max_lag + 1)
-    length = n - lags  # overlap size per lag, >= 1 by the range check
-
-    m = 1 << int(np.ceil(np.log2(2 * n)))
-    fx = np.fft.rfft(x, m)
-    fy = np.fft.rfft(y, m)
-    # irfft(conj(F(x))·F(y))[ℓ] = Σ_t x[t]·y[t+ℓ]
-    cross = np.fft.irfft(np.conj(fx) * fy, m)[: max_lag + 1]
-
-    cx = np.cumsum(x)
-    cx2 = np.cumsum(x * x)
-    sum_a = cx[length - 1]
-    sum_a2 = cx2[length - 1]
-    cy = np.cumsum(y)
-    cy2 = np.cumsum(y * y)
-    sum_b = cy[-1] - np.concatenate(([0.0], cy[: max_lag]))
-    sum_b2 = cy2[-1] - np.concatenate(([0.0], cy2[: max_lag]))
-
-    mean_a = sum_a / length
-    mean_b = sum_b / length
-    var_a = sum_a2 / length - mean_a * mean_a
-    var_b = sum_b2 / length - mean_b * mean_b
-    # prefix-sum variance underflows around true-constant windows;
-    # clamp the tiny negatives and treat near-zero variance as constant
-    eps_a = 1e-12 * np.maximum(1.0, sum_a2 / length)
-    eps_b = 1e-12 * np.maximum(1.0, sum_b2 / length)
-    ok = (var_a > eps_a) & (var_b > eps_b)
-    cov = cross / length - mean_a * mean_b
-    out = np.zeros(max_lag + 1)
-    denom = np.sqrt(np.where(ok, var_a * var_b, 1.0))
-    out[ok] = (cov / denom)[ok]
-    return out
+    return CachedCorrelator(x, max_lag).correlate(y)
 
 
 class CachedCorrelator:
     """Repeated lag correlation against one cached reference signal.
 
-    A drift check correlates the *same* anchor history against a fresh
-    observation window every time it fires; recomputing the reference's
-    FFT and per-lag moments on every check is where the old
-    O(lags·n) loop cost came from.  This caches everything derivable
-    from the reference — its padded FFT (conjugated), prefix sums, and
-    per-lag means/variances — so each :meth:`correlate` call pays one
-    FFT of the query signal plus O(lags) arithmetic.
+    For lag ℓ the overlap is ``a = x[:n-ℓ]``, ``b = y[ℓ:]``.  The cross
+    term ``Σ a·b`` for *every* ℓ is one circular correlation (real FFTs
+    with zero padding); per-lag sums and sums of squares of the two
+    windows come from prefix sums, giving means and variances in O(1)
+    per lag — O(n log n) in all instead of a per-lag loop's O(lags·n).
+    Windows whose variance underflows are reported as 0.
 
-    Results match ``cross_correlation(reference, y, max_lag,
-    method="fft")`` exactly (same arithmetic, just hoisted).
+    A drift check correlates the *same* anchor history against a fresh
+    observation window every time it fires, so everything derivable
+    from the reference — its padded FFT (conjugated), prefix sums, and
+    per-lag means/variances — is computed once here, and each
+    :meth:`correlate` call pays one FFT of the query signal plus
+    O(lags) arithmetic.
     """
 
     def __init__(self, reference: np.ndarray, max_lag: int) -> None:

@@ -11,6 +11,7 @@ from repro.signals.crosscorr import (
     cross_correlation,
     effective_tolerance,
 )
+from tests.reference.crosscorr import cross_correlation_loop
 
 
 class TestCrossCorrelation:
@@ -49,14 +50,14 @@ class TestCrossCorrelation:
 
 
 class TestFFTPath:
-    """The FFT method is the loop method up to float round-off."""
+    """The FFT kernel is the per-lag loop oracle up to float round-off."""
 
     def test_fft_matches_loop(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=800)
         y = np.roll(x, 12) + 0.1 * rng.normal(size=800)
-        loop = cross_correlation(x, y, max_lag=64, method="loop")
-        fft = cross_correlation(x, y, max_lag=64, method="fft")
+        loop = cross_correlation_loop(x, y, max_lag=64)
+        fft = cross_correlation(x, y, max_lag=64)
         np.testing.assert_allclose(fft, loop, atol=1e-8)
 
     def test_fft_on_sparse_trains(self):
@@ -64,27 +65,14 @@ class TestFFTPath:
         rng = np.random.default_rng(8)
         x = (rng.random(2000) < 0.02).astype(float)
         y = np.roll(x, 5)
-        loop = cross_correlation(x, y, max_lag=30, method="loop")
-        fft = cross_correlation(x, y, max_lag=30, method="fft")
+        loop = cross_correlation_loop(x, y, max_lag=30)
+        fft = cross_correlation(x, y, max_lag=30)
         np.testing.assert_allclose(fft, loop, atol=1e-8)
 
     def test_fft_constant_windows_zero(self):
         x = np.concatenate([np.ones(50), np.zeros(50)])
         y = np.ones(100)
-        assert np.allclose(cross_correlation(x, y, 10, method="fft"), 0.0)
-
-    def test_auto_dispatch_small_stays_loop_identical(self):
-        # tiny inputs must route to the loop: auto == loop bit for bit
-        rng = np.random.default_rng(9)
-        x = rng.normal(size=50)
-        y = rng.normal(size=50)
-        auto = cross_correlation(x, y, max_lag=5, method="auto")
-        loop = cross_correlation(x, y, max_lag=5, method="loop")
-        np.testing.assert_array_equal(auto, loop)
-
-    def test_bad_method_rejected(self):
-        with pytest.raises(ValueError):
-            cross_correlation(np.zeros(10), np.zeros(10), 2, method="magic")
+        assert np.allclose(cross_correlation(x, y, 10), 0.0)
 
     def test_cached_correlator_matches_fft(self):
         rng = np.random.default_rng(10)
@@ -94,8 +82,11 @@ class TestFFTPath:
             y = np.roll(x, 9) + 0.2 * np.random.default_rng(seed).normal(
                 size=600
             )
-            ref = cross_correlation(x, y, max_lag=40, method="fft")
+            ref = cross_correlation(x, y, max_lag=40)
             np.testing.assert_array_equal(cached.correlate(y), ref)
+            np.testing.assert_allclose(
+                ref, cross_correlation_loop(x, y, max_lag=40), atol=1e-8
+            )
 
     def test_cached_correlator_best(self):
         rng = np.random.default_rng(11)
