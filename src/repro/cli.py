@@ -106,14 +106,6 @@ def _fault_from_dict(d: dict) -> FaultEvent:
     )
 
 
-def _prediction_to_dict(p: Prediction) -> dict:
-    return p.to_dict()
-
-
-def _prediction_from_dict(d: dict) -> Prediction:
-    return Prediction.from_dict(d)
-
-
 def load_ground_truth(path: Path) -> List[FaultEvent]:
     """Read a ground-truth JSON file written by ``generate``."""
     data = json.loads(path.read_text())
@@ -123,7 +115,7 @@ def load_ground_truth(path: Path) -> List[FaultEvent]:
 def load_predictions(path: Path) -> List[Prediction]:
     """Read a predictions JSON file written by ``predict``."""
     data = json.loads(path.read_text())
-    return [_prediction_from_dict(d) for d in data["predictions"]]
+    return [Prediction.from_dict(d) for d in data["predictions"]]
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +402,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
                 predictor.attach_scoreboard(scoreboard)
             predictions = predictor.run(stream)
             tripped = []
-        out = {"predictions": [_prediction_to_dict(p) for p in predictions]}
+        out = {"predictions": [p.to_dict() for p in predictions]}
         Path(args.out).write_text(json.dumps(out, indent=1))
         _emit(f"{len(predictions)} predictions written to {args.out}")
         if scoreboard is not None:
@@ -1005,7 +997,8 @@ def cmd_postmortem(args: argparse.Namespace) -> int:
     shared stream clock); add ``--replay --model MODEL`` to re-feed the
     captured record window through a fresh pipeline and verify the
     recorded predictions reproduce byte-for-byte (exit 0) or not
-    (exit :data:`EXIT_DEGRADED`).
+    (exit :data:`EXIT_DEGRADED`); a bundle replay cannot read (another
+    bundle version) exits 1.
     """
     from repro.obs.forensics import (
         MANIFEST, load_bundle, replay_bundle,
@@ -1079,8 +1072,12 @@ def cmd_postmortem(args: argparse.Namespace) -> int:
 
     with Path(args.model).open("rb") as fh:
         elsa: ELSA = pickle.load(fh)
-    result = replay_bundle(args.bundle, elsa,
-                           chunk_records=args.chunk_records)
+    try:
+        result = replay_bundle(args.bundle, elsa,
+                               chunk_records=args.chunk_records)
+    except ValueError as exc:
+        print(f"error: cannot replay bundle: {exc}", file=sys.stderr)
+        return 1
     _emit("")
     _emit(f"replay   : {result['records_replayed']} records "
           f"({'from checkpoint' if result['from_checkpoint'] else 'fresh'})"

@@ -17,8 +17,10 @@ ids travel beside a batch as one int64 array, ``-1`` = unclassified.
 Slicing is a view (arrays are numpy views, the location pool is
 shared); :meth:`take` and :meth:`concat` copy.  :meth:`to_records`
 materializes :class:`~repro.simulation.trace.LogRecord` objects for
-callers outside the pipeline — a round trip through a batch is
-lossless, including the ground-truth side channels.
+callers outside the pipeline.  A batch holds what a log line says —
+time, location, severity, message — so a round trip keeps those four
+fields; the generator's ``event_type``/``fault_id`` live only on
+:class:`~repro.simulation.trace.LogRecord` and come back ``None``.
 """
 
 from __future__ import annotations
@@ -30,8 +32,6 @@ import numpy as np
 from repro.simulation.trace import LogRecord, Severity
 
 __all__ = ["RecordBatch", "rows_by_type"]
-
-_NO_SIDE = None
 
 
 def rows_by_type(event_ids: np.ndarray) -> Dict[int, np.ndarray]:
@@ -52,9 +52,7 @@ class RecordBatch:
     """A columnar slice of a log stream (struct-of-arrays).
 
     Parameters are taken by reference, not copied — builders hand over
-    ownership.  ``event_types``/``fault_ids`` are plain Python lists (or
-    ``None`` meaning "all None"); they are ground-truth side channels
-    that never appear on hot paths but must survive a round trip.
+    ownership.
     """
 
     __slots__ = (
@@ -63,8 +61,6 @@ class RecordBatch:
         "severities",
         "messages",
         "loc_pool",
-        "event_types",
-        "fault_ids",
         "_loc_index",
         "token_lists",
     )
@@ -76,8 +72,6 @@ class RecordBatch:
         severities: np.ndarray,
         messages: List[str],
         loc_pool: List[str],
-        event_types: Optional[list] = _NO_SIDE,
-        fault_ids: Optional[list] = _NO_SIDE,
         loc_index: Optional[Dict[str, int]] = None,
         token_lists: Optional[list] = None,
     ) -> None:
@@ -86,8 +80,6 @@ class RecordBatch:
         self.severities = severities
         self.messages = messages
         self.loc_pool = loc_pool
-        self.event_types = event_types
-        self.fault_ids = fault_ids
         self._loc_index = loc_index
         #: transient: per-record raw token tuples (``raw_tokens``)
         #: cached by the batch parser so classification does not
@@ -116,8 +108,6 @@ class RecordBatch:
         msgs: List[str] = [""] * n
         pool: List[str] = []
         index: Dict[str, int] = {}
-        ets: Optional[list] = None
-        fids: Optional[list] = None
         for i, rec in enumerate(records):
             ts[i] = rec.timestamp
             lid = index.get(rec.location)
@@ -128,16 +118,7 @@ class RecordBatch:
             lids[i] = lid
             sevs[i] = int(rec.severity)
             msgs[i] = rec.message
-            if rec.event_type is not None:
-                if ets is None:
-                    ets = [None] * n
-                ets[i] = rec.event_type
-            if rec.fault_id is not None:
-                if fids is None:
-                    fids = [None] * n
-                fids[i] = rec.fault_id
-        return cls(ts, lids, sevs, msgs, pool, event_types=ets,
-                   fault_ids=fids, loc_index=index)
+        return cls(ts, lids, sevs, msgs, pool, loc_index=index)
 
     # -- basic protocol ------------------------------------------------------
 
@@ -160,12 +141,6 @@ class RecordBatch:
             location=self.loc_pool[self.loc_ids[i]],
             severity=Severity(int(self.severities[i])),
             message=self.messages[i],
-            event_type=(
-                None if self.event_types is None else self.event_types[i]
-            ),
-            fault_id=(
-                None if self.fault_ids is None else self.fault_ids[i]
-            ),
         )
 
     def __getitem__(
@@ -191,12 +166,6 @@ class RecordBatch:
             self.severities[sl],
             self.messages[sl],
             self.loc_pool,
-            event_types=(
-                None if self.event_types is None else self.event_types[sl]
-            ),
-            fault_ids=(
-                None if self.fault_ids is None else self.fault_ids[sl]
-            ),
             loc_index=self._loc_index,
             token_lists=(
                 None if self.token_lists is None else self.token_lists[sl]
@@ -217,14 +186,6 @@ class RecordBatch:
             self.severities[idx],
             msgs,
             self.loc_pool,
-            event_types=(
-                None if self.event_types is None
-                else [self.event_types[i] for i in idx]
-            ),
-            fault_ids=(
-                None if self.fault_ids is None
-                else [self.fault_ids[i] for i in idx]
-            ),
             loc_index=self._loc_index,
             token_lists=(
                 None if self.token_lists is None
@@ -257,18 +218,6 @@ class RecordBatch:
         msgs: List[str] = []
         for b in batches:
             msgs.extend(b.messages)
-        ets = None
-        if any(b.event_types is not None for b in batches):
-            ets = []
-            for b in batches:
-                ets.extend(b.event_types if b.event_types is not None
-                           else [None] * len(b))
-        fids = None
-        if any(b.fault_ids is not None for b in batches):
-            fids = []
-            for b in batches:
-                fids.extend(b.fault_ids if b.fault_ids is not None
-                            else [None] * len(b))
         assert n == len(msgs)
         return RecordBatch(
             np.concatenate([b.timestamps for b in batches]),
@@ -276,8 +225,6 @@ class RecordBatch:
             np.concatenate([b.severities for b in batches]),
             msgs,
             pool,
-            event_types=ets,
-            fault_ids=fids,
             loc_index=index,
         )
 
@@ -286,8 +233,6 @@ class RecordBatch:
     def to_records(self) -> List[LogRecord]:
         """Materialize the whole batch as record objects."""
         pool = self.loc_pool
-        ets = self.event_types
-        fids = self.fault_ids
         sev_of = {int(s): s for s in Severity}
         return [
             LogRecord(
@@ -295,8 +240,6 @@ class RecordBatch:
                 location=pool[self.loc_ids[i]],
                 severity=sev_of[int(self.severities[i])],
                 message=self.messages[i],
-                event_type=None if ets is None else ets[i],
-                fault_id=None if fids is None else fids[i],
             )
             for i in range(len(self.timestamps))
         ]

@@ -80,7 +80,7 @@ log = obs.get_logger(__name__)
 
 #: wire field names for one NDJSON record object (kept short: ingest is
 #: the hot path and the encoding is symmetric with the client)
-_FIELDS = ("t", "loc", "sev", "msg", "et", "fid")
+_FIELDS = ("t", "loc", "sev", "msg")
 _FIELD_SET = frozenset(_FIELDS)
 
 #: JSON spellings of the non-finite floats ``float.__repr__`` writes as
@@ -103,10 +103,6 @@ def _record_json(rec) -> str:
         "sev": int(rec.severity),
         "msg": rec.message,
     }
-    if rec.event_type is not None:
-        row["et"] = int(rec.event_type)
-    if rec.fault_id is not None:
-        row["fid"] = int(rec.fault_id)
     return json.dumps(row, separators=(",", ":"))
 
 
@@ -117,31 +113,27 @@ def encode_records(records) -> bytes:
     loss — unlike the ``%.3f`` text log format, which is why the wire
     uses NDJSON and not log lines) and severities as their integer
     ladder values.  The output is byte-identical to ``json.dumps`` of
-    each record's ``{"t", "loc", "sev", "msg"[, "et"][, "fid"]}`` dict
-    with compact separators.  A record with a float timestamp, string
-    location and message and a ladder severity is formatted directly,
-    with the functions ``json`` itself uses for floats and strings;
-    any other record goes through ``json.dumps``.
+    each record's ``{"t", "loc", "sev", "msg"}`` dict with compact
+    separators; a record's ``event_type``/``fault_id`` are not sent.
+    ``records`` is any iterable of records, a
+    :class:`~repro.columnar.RecordBatch` included.  A record with a
+    float timestamp, string location and message and a ladder severity
+    is formatted directly, with the functions ``json`` itself uses for
+    floats and strings; any other record goes through ``json.dumps``.
     """
     lines = []
     append = lines.append
     for rec in records:
         try:
             stamp = _float_repr(rec.timestamp)
-            line = (
+            append(
                 f'{{"t":{_NON_FINITE.get(stamp, stamp)},'
                 f'"loc":{_json_str(rec.location)},'
                 f'"sev":{_SEVERITY_TEXT[rec.severity]},'
-                f'"msg":{_json_str(rec.message)}'
+                f'"msg":{_json_str(rec.message)}}}'
             )
         except (TypeError, KeyError):
             append(_record_json(rec))
-            continue
-        if rec.event_type is not None:
-            line += f',"et":{int(rec.event_type)}'
-        if rec.fault_id is not None:
-            line += f',"fid":{int(rec.fault_id)}'
-        append(line + "}")
     return ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8")
 
 
@@ -156,11 +148,9 @@ def _convert_row(row: dict, lineno: int) -> tuple:
         loc = str(row["loc"])
         sev = int(Severity(int(row["sev"])))
         msg = str(row["msg"])
-        et = None if row.get("et") is None else int(row["et"])
-        fid = None if row.get("fid") is None else int(row["fid"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"line {lineno}: {exc}") from None
-    return t, loc, sev, msg, et, fid
+    return t, loc, sev, msg
 
 
 def decode_batch(body: bytes, max_records: Optional[int] = None
@@ -168,16 +158,17 @@ def decode_batch(body: bytes, max_records: Optional[int] = None
     """NDJSON bytes → :class:`RecordBatch`; ``ValueError`` if malformed.
 
     Strict on purpose: a half-applied batch cannot be deduplicated, so
-    any malformed line — bad JSON, a missing or unknown field, a
-    non-finite timestamp, a number no field can hold — rejects the
-    whole batch *before* anything is routed (400 to the client, nothing
-    entered the fleet).  ``ValueError`` is the only exception raised.
-    Rows land directly in columns with locations interned once.
+    any malformed line — bad JSON, a missing or unknown field (the
+    generator's ``et``/``fid`` included), a non-finite timestamp, a
+    number no field can hold — rejects the whole batch *before*
+    anything is routed (400 to the client, nothing entered the fleet).
+    ``ValueError`` is the only exception raised.  Rows land directly in
+    columns with locations interned once.
 
     A row shaped as :func:`encode_records` writes it (finite number
-    ``t``, string ``loc``/``msg``, ladder ``sev``, integer or absent
-    ``et``/``fid``) is taken as is; any other row goes through
-    :func:`_convert_row`, which accepts or rejects it field by field.
+    ``t``, string ``loc``/``msg``, ladder ``sev``) is taken as is; any
+    other row goes through :func:`_convert_row`, which accepts or
+    rejects it field by field.
     """
     ts: List[float] = []
     lids: List[int] = []
@@ -185,8 +176,6 @@ def decode_batch(body: bytes, max_records: Optional[int] = None
     msgs: List[str] = []
     pool: List[str] = []
     index: dict = {}
-    ets: Optional[list] = None
-    fids: Optional[list] = None
     loads = json.loads
     text = body.decode("utf-8")
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -211,39 +200,25 @@ def decode_batch(body: bytes, max_records: Optional[int] = None
             sev = _SEVERITY_VALUE[row["sev"]]
             loc = row["loc"]
             msg = row["msg"]
-            et = row.get("et")
-            fid = row.get("fid")
-            if not (isfinite(t) and type(loc) is str and type(msg) is str
-                    and (et is None or type(et) is int)
-                    and (fid is None or type(fid) is int)):
+            if not (isfinite(t) and type(loc) is str and type(msg) is str):
                 raise ValueError
         except (KeyError, TypeError, ValueError, OverflowError):
-            t, loc, sev, msg, et, fid = _convert_row(row, lineno)
+            t, loc, sev, msg = _convert_row(row, lineno)
         lid = index.get(loc)
         if lid is None:
             lid = len(pool)
             index[loc] = lid
             pool.append(loc)
-        if et is not None and ets is None:
-            ets = [None] * len(ts)
-        if fid is not None and fids is None:
-            fids = [None] * len(ts)
         ts.append(t)
         lids.append(lid)
         sevs.append(sev)
         msgs.append(msg)
-        if ets is not None:
-            ets.append(et)
-        if fids is not None:
-            fids.append(fid)
     return RecordBatch(
         np.asarray(ts, dtype=np.float64),
         np.asarray(lids, dtype=np.int32),
         np.asarray(sevs, dtype=np.int8),
         msgs,
         pool,
-        event_types=ets,
-        fault_ids=fids,
         loc_index=index,
     )
 

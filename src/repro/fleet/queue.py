@@ -7,24 +7,23 @@ routed batch enqueues as one segment (one pointer), ``popn`` hands the
 feed a zero-copy slice (or a concat when a chunk spans segments), and
 the replay buffer re-appends the same batch it popped.
 
-``len``/truthiness/iteration/``list()`` behave like a plain ``deque`` of
-records (iteration materializes records — it is the forensics/fence
-path, not the hot one).
+``len`` and truthiness count records; :meth:`view` reads every queued
+record as one batch without dequeuing (the forensics window).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Iterator
+from typing import Deque
 
 from repro.columnar import RecordBatch
-from repro.simulation.trace import LogRecord
 
 __all__ = ["RecordDeque"]
 
 
 class RecordDeque:
-    """A FIFO of records stored as batch segments."""
+    """A FIFO of records stored as batch segments; records leave it
+    only as batches (:meth:`popn`, :meth:`drain`, :meth:`view`)."""
 
     __slots__ = ("_segs", "_len")
 
@@ -62,6 +61,10 @@ class RecordDeque:
         """Dequeue everything (the restart-replay path)."""
         return self.popn(self._len)
 
+    def view(self) -> RecordBatch:
+        """Every queued record as one batch, left in the queue."""
+        return RecordBatch.concat(self._segs)
+
     def clear(self) -> None:
         self._segs.clear()
         self._len = 0
@@ -71,8 +74,3 @@ class RecordDeque:
 
     def __bool__(self) -> bool:
         return self._len > 0
-
-    def __iter__(self) -> Iterator[LogRecord]:
-        """Record-object iteration (cold paths: forensics, fencing)."""
-        for seg in self._segs:
-            yield from seg.to_records()

@@ -4,17 +4,17 @@ The router is the fleet's front door: every incoming batch is split by
 tenant (:func:`rack_subtree_key` for topology-aligned sharding,
 :func:`hashed_tenant_key` for an arbitrary shard count), offered to that
 tenant's bounded queue, and — when the shard is fenced or unknown —
-diverted to a bounded dead-letter ring instead of blocking or poisoning
-siblings.  Window checks and backpressure on a full queue are the
-shard's (stride-sampling, severe-always) policy; the router just counts
-the verdicts.
+diverted to a bounded dead-letter ring of batch segments instead of
+blocking or poisoning siblings.  Window checks and backpressure on a
+full queue are the shard's (stride-sampling, severe-always) policy; the
+router just counts the verdicts.
 """
 
 from __future__ import annotations
 
 import zlib
 from collections import deque
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from repro import obs
 from repro.columnar import RecordBatch
 from repro.fleet.policy import FleetPolicy
 from repro.fleet.shard import Shard, ShardState
-from repro.simulation.trace import LogRecord
 
 __all__ = [
     "IngestionRouter",
@@ -92,7 +91,10 @@ class IngestionRouter:
         self.shards = shards
         self.key = key
         self.policy = policy or FleetPolicy()
-        self.dead_letter: deque = deque(maxlen=self.policy.dead_letter_cap)
+        #: ``(reason, tenant, RecordBatch)`` segments, oldest first,
+        #: holding at most ``policy.dead_letter_cap`` records in all
+        self.dead_letter: deque = deque()
+        self._dead_depth = 0
         self.stats = {
             "routed": 0,
             "accepted": 0,
@@ -130,8 +132,7 @@ class IngestionRouter:
             shard = self.shards.get(tenant)
             if shard is None or shard.state is ShardState.QUARANTINED:
                 reason = "unknown-tenant" if shard is None else "fenced"
-                for rec in sub.to_records():
-                    self._dead(rec, reason, tenant)
+                self.dead_letter_batch(sub, reason, tenant)
                 totals["dead-letter"] += len(sub)
                 continue
             shed_before = dict(shard.shed_by_severity)
@@ -156,19 +157,36 @@ class IngestionRouter:
                         ).inc(d)
         return totals
 
-    def dead_letter_all(
-        self, records: List[LogRecord], reason: str, tenant: str
+    def dead_letter_batch(
+        self, batch: RecordBatch, reason: str, tenant: str
     ) -> None:
-        """Drain a fenced shard's queue into the dead-letter ring."""
-        for rec in records:
-            self._dead(rec, reason, tenant)
+        """Put a batch on the dead-letter ring as one segment.
 
-    def _dead(self, rec: LogRecord, reason: str, tenant: str) -> None:
-        self.dead_letter.append((reason, tenant, rec))
-        self.stats["dead_lettered"] += 1
-        obs.counter("fleet.dead_letters").inc()
-        obs.counter("fleet.dead_letters").labels(reason=reason).inc()
+        Past ``dead_letter_cap`` records the oldest rows are trimmed
+        first (whole segments, then the front of the oldest one left).
+        """
+        n = len(batch)
+        if not n:
+            return
+        self.dead_letter.append((reason, tenant, batch))
+        self._dead_depth += n
+        excess = self._dead_depth - self.policy.dead_letter_cap
+        while excess > 0:
+            old_reason, old_tenant, old = self.dead_letter[0]
+            if len(old) <= excess:
+                self.dead_letter.popleft()
+                cut = len(old)
+            else:
+                self.dead_letter[0] = (
+                    old_reason, old_tenant, old.slice(excess, len(old))
+                )
+                cut = excess
+            self._dead_depth -= cut
+            excess -= cut
+        self.stats["dead_lettered"] += n
+        obs.counter("fleet.dead_letters").inc(n)
+        obs.counter("fleet.dead_letters").labels(reason=reason).inc(n)
 
     def info(self) -> dict:
         """The ``/fleet`` router section."""
-        return dict(self.stats, dead_letter_depth=len(self.dead_letter))
+        return dict(self.stats, dead_letter_depth=self._dead_depth)

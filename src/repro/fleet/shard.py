@@ -41,7 +41,7 @@ from repro.fleet.policy import FleetPolicy
 from repro.fleet.queue import RecordDeque
 from repro.obs.forensics import mint_trace, trace_scope
 from repro.resilience.checkpoint import ResumableRun, load_checkpoint
-from repro.simulation.trace import LogRecord, Severity
+from repro.simulation.trace import Severity
 
 __all__ = ["Shard", "ShardKilled", "ShardState"]
 
@@ -317,11 +317,9 @@ class Shard:
             self.state = ShardState.BACKOFF
             self.restart_at = float(restart_at)
 
-    def fence(self) -> List[LogRecord]:
+    def fence(self) -> RecordBatch:
         """Hand over the queue (quarantine → dead-letter drain)."""
-        drained = list(self.queue)
-        self.queue.clear()
-        return drained
+        return self.queue.drain()
 
     def restart(self, now: float) -> None:
         """Rebuild the run from the last checkpoint and replay unacked.

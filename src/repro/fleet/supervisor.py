@@ -123,8 +123,7 @@ class ShardSupervisor:
 
             ladder.restore(int(Rung.RATE_BASELINE))
         fenced = shard.fence()
-        if fenced:
-            self.router.dead_letter_all(fenced, "fenced", tenant)
+        self.router.dead_letter_batch(fenced, "fenced", tenant)
         obs.counter("fleet.shard_quarantined").inc()
         obs.counter("fleet.shard_quarantined").labels(tenant=tenant).inc()
         obs.gauge("fleet.quarantined_shards").set(float(sum(

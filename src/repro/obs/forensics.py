@@ -35,13 +35,18 @@ Bundle layout (``manifest.json`` carries ``bundle_version``)::
       profile.txt         # collapsed-stack profile
       spans.json          # span tree (active spans included)
       supervisor.jsonl    # supervision event audit
-      dead_letter.jsonl   # dead-letter samples
+      dead_letter.jsonl   # dead-letter samples: reason, tenant, record
       records.jsonl       # raw record window (the unacked replay buffer)
       predictions.json    # predictions emitted so far + feed cursor
       checkpoint.json     # copy of the shard's last on-disk checkpoint
 
-Directories are written to a dot-prefixed temp name and ``os.replace``d
-into place, so a reader never sees a torn bundle.
+Records (``records.jsonl`` and each dead-letter sample's ``record``)
+are the ingest wire's NDJSON rows, ``{"t", "loc", "sev", "msg"}``
+(:func:`repro.fleet.ingest.encode_records`), so a replay reads them
+with the ingest decoder.  Bundles written before this format (version
+1) are refused by :func:`replay_bundle`.  Directories are written to a
+dot-prefixed temp name and ``os.replace``d into place, so a reader
+never sees a torn bundle.
 """
 
 from __future__ import annotations
@@ -68,8 +73,6 @@ __all__ = [
     "get_incident_manager",
     "load_bundle",
     "mint_trace",
-    "record_from_dict",
-    "record_to_dict",
     "replay_bundle",
     "reset_forensics",
     "set_incident_manager",
@@ -78,7 +81,7 @@ __all__ = [
 
 log = get_logger(__name__)
 
-BUNDLE_VERSION = 1
+BUNDLE_VERSION = 2
 FORENSICS_STATE_VERSION = 1
 
 #: bundles kept on disk before the oldest are deleted
@@ -159,37 +162,27 @@ def current_trace_id() -> Optional[str]:
     return stack[-1].trace_id if stack else None
 
 
-# -- record (de)serialization ------------------------------------------------
-
-
-def record_to_dict(rec) -> dict:
-    """A LogRecord as JSON — *all six* fields, unlike ``format_line``
-    (replay needs ``event_type``/``fault_id`` intact)."""
-    return {
-        "timestamp": float(rec.timestamp),
-        "location": rec.location,
-        "severity": int(rec.severity),
-        "message": rec.message,
-        "event_type": rec.event_type,
-        "fault_id": rec.fault_id,
-    }
-
-
-def record_from_dict(d: dict):
-    """Inverse of :func:`record_to_dict`."""
-    from repro.simulation.trace import LogRecord, Severity
-
-    return LogRecord(
-        timestamp=float(d["timestamp"]),
-        location=str(d["location"]),
-        severity=Severity(int(d["severity"])),
-        message=str(d["message"]),
-        event_type=d.get("event_type"),
-        fault_id=d.get("fault_id"),
-    )
-
-
 # -- the incident manager ----------------------------------------------------
+
+
+def _dead_letter_samples(segments) -> str:
+    """The newest :data:`MAX_DEAD_LETTER_SAMPLES` records of a
+    dead-letter ring of ``(reason, tenant, RecordBatch)`` segments, one
+    ``{"reason", "tenant", "record": <wire row>}`` line each."""
+    from repro.fleet.ingest import encode_records
+
+    lines: List[str] = []
+    left = MAX_DEAD_LETTER_SAMPLES
+    for reason, tenant, batch in reversed(segments):
+        if left <= 0:
+            break
+        tail = batch.slice(max(0, len(batch) - left), len(batch))
+        left -= len(tail)
+        # each row keeps the codec's bytes, spliced in after the labels
+        head = json.dumps({"reason": reason, "tenant": tenant})[:-1]
+        rows = encode_records(tail).decode("utf-8").splitlines()
+        lines[:0] = [f'{head}, "record": {row}}}\n' for row in rows]
+    return "".join(lines)
 
 
 class IncidentManager:
@@ -277,7 +270,7 @@ class IncidentManager:
 
         def window(tenant):
             shard = pick(tenant)
-            return list(shard._unacked) if shard is not None else []
+            return shard._unacked.view() if shard is not None else []
 
         def predictions(tenant):
             shard = pick(tenant)
@@ -491,17 +484,11 @@ class IncidentManager:
                  "".join(json.dumps(e) + "\n" for e in events))
         dead = self._call("dead_letters")
         if dead is not None:
-            lines = [
-                json.dumps({
-                    "reason": reason, "tenant": t,
-                    "record": record_to_dict(rec),
-                }) + "\n"
-                for reason, t, rec in dead[-MAX_DEAD_LETTER_SAMPLES:]
-            ]
-            emit("dead_letter.jsonl", "".join(lines))
+            emit("dead_letter.jsonl", _dead_letter_samples(dead))
+        from repro.fleet.ingest import encode_records
+
         window = self._call("window", tenant) or []
-        emit("records.jsonl",
-             "".join(json.dumps(record_to_dict(r)) + "\n" for r in window))
+        emit("records.jsonl", encode_records(window).decode("utf-8"))
         preds = self._call("predictions", tenant)
         if preds is not None:
             emit("predictions.json", json.dumps(preds))
@@ -733,21 +720,25 @@ def replay_bundle(path: os.PathLike, elsa,
     feeds the captured window up to the recorded cursor, and compares
     the replayed predictions byte-for-byte against ``predictions.json``.
     ``elsa`` is deep-copied — the caller's model is never mutated.
+    A bundle of another :data:`BUNDLE_VERSION` raises ``ValueError``.
     """
     import copy
 
+    from repro.fleet.ingest import decode_batch
     from repro.obs.history import MetricHistory
     from repro.obs.slo import SLOEngine
     from repro.resilience.checkpoint import ResumableRun, load_checkpoint
 
     path = Path(path)
     manifest = json.loads((path / MANIFEST).read_text())
+    version = manifest.get("bundle_version")
+    if version != BUNDLE_VERSION:
+        raise ValueError(
+            f"bundle version {version!r} cannot be replayed "
+            f"(replay reads version {BUNDLE_VERSION})"
+        )
     recorded = json.loads((path / "predictions.json").read_text())
-    records = [
-        record_from_dict(json.loads(line))
-        for line in (path / "records.jsonl").read_text().splitlines()
-        if line.strip()
-    ]
+    records = decode_batch((path / "records.jsonl").read_bytes())
     elsa = copy.deepcopy(elsa)
     # isolated history/SLO: replay must not pollute the live singletons
     history, engine = MetricHistory(), SLOEngine(specs=[])

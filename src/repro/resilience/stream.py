@@ -235,12 +235,8 @@ def _insert_gap_markers(out, gaps, cfg: ResilienceConfig):
     new_lids = np.insert(out.loc_ids, gaps, np.int32(mloc))
     new_sevs = np.insert(out.severities, gaps, np.int8(int(Severity.WARNING)))
     msgs = out.messages
-    ets = out.event_types
-    fids = out.fault_ids
     toks = out.token_lists
     new_msgs: List[str] = []
-    new_ets: Optional[list] = None if ets is None else []
-    new_fids: Optional[list] = None if fids is None else []
     new_toks: Optional[list] = None if toks is None else []
     prev_end = 0
     for g in gaps.tolist():
@@ -248,21 +244,11 @@ def _insert_gap_markers(out, gaps, cfg: ResilienceConfig):
         msg = GAP_MARKER_MESSAGE.format(gap=gap)
         new_msgs.extend(msgs[prev_end:g])
         new_msgs.append(msg)
-        if new_ets is not None:
-            new_ets.extend(ets[prev_end:g])
-            new_ets.append(None)
-        if new_fids is not None:
-            new_fids.extend(fids[prev_end:g])
-            new_fids.append(None)
         if new_toks is not None:
             new_toks.extend(toks[prev_end:g])
             new_toks.append(raw_tokens(msg))
         prev_end = g
     new_msgs.extend(msgs[prev_end:])
-    if new_ets is not None:
-        new_ets.extend(ets[prev_end:])
-    if new_fids is not None:
-        new_fids.extend(fids[prev_end:])
     if new_toks is not None:
         new_toks.extend(toks[prev_end:])
     return RecordBatch(
@@ -271,8 +257,6 @@ def _insert_gap_markers(out, gaps, cfg: ResilienceConfig):
         new_sevs,
         new_msgs,
         out.loc_pool,
-        event_types=new_ets,
-        fault_ids=new_fids,
         loc_index=out._loc_index,
         token_lists=new_toks,
     )

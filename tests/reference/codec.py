@@ -1,8 +1,8 @@
 """Field-by-field NDJSON codec: the oracle of ``repro.fleet.ingest``.
 
-``encode_records`` builds one dict per record and hands it to
-``json.dumps``; ``decode_batch`` converts every field through
-``parse_timestamp``, ``Severity`` and ``str``/``int``.  The product
+``encode_records`` builds one ``{"t", "loc", "sev", "msg"}`` dict per
+record and hands it to ``json.dumps``; ``decode_batch`` converts every
+field through ``parse_timestamp``, ``Severity`` and ``str``/``int``.  The product
 codec must write the same bytes and accept, reject and word its
 errors the same way.
 """
@@ -17,7 +17,7 @@ import numpy as np
 from repro.columnar import RecordBatch
 from repro.simulation.trace import Severity, parse_timestamp
 
-_FIELDS = ("t", "loc", "sev", "msg", "et", "fid")
+_FIELDS = ("t", "loc", "sev", "msg")
 
 
 def encode_records(records) -> bytes:
@@ -30,10 +30,6 @@ def encode_records(records) -> bytes:
             "sev": int(rec.severity),
             "msg": rec.message,
         }
-        if rec.event_type is not None:
-            row["et"] = int(rec.event_type)
-        if rec.fault_id is not None:
-            row["fid"] = int(rec.fault_id)
         lines.append(json.dumps(row, separators=(",", ":")))
     return ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8")
 
@@ -47,8 +43,6 @@ def decode_batch(body: bytes, max_records: Optional[int] = None
     msgs: List[str] = []
     pool: List[str] = []
     index: dict = {}
-    ets: Optional[list] = None
-    fids: Optional[list] = None
     text = body.decode("utf-8")
     for i, line in enumerate(text.splitlines()):
         line = line.strip()
@@ -72,8 +66,6 @@ def decode_batch(body: bytes, max_records: Optional[int] = None
             loc = str(row["loc"])
             sev = int(Severity(int(row["sev"])))
             msg = str(row["msg"])
-            et = None if row.get("et") is None else int(row["et"])
-            fid = None if row.get("fid") is None else int(row["fid"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"line {i + 1}: {exc}") from None
         lid = index.get(loc)
@@ -81,25 +73,15 @@ def decode_batch(body: bytes, max_records: Optional[int] = None
             lid = len(pool)
             index[loc] = lid
             pool.append(loc)
-        if et is not None and ets is None:
-            ets = [None] * len(ts)
-        if fid is not None and fids is None:
-            fids = [None] * len(ts)
         ts.append(t)
         lids.append(lid)
         sevs.append(sev)
         msgs.append(msg)
-        if ets is not None:
-            ets.append(et)
-        if fids is not None:
-            fids.append(fid)
     return RecordBatch(
         np.asarray(ts, dtype=np.float64),
         np.asarray(lids, dtype=np.int32),
         np.asarray(sevs, dtype=np.int8),
         msgs,
         pool,
-        event_types=ets,
-        fault_ids=fids,
         loc_index=index,
     )

@@ -108,6 +108,26 @@ class TestWorkflow:
         assert "## Table IV" in text
         assert "9.13%" in text  # the exact closed-form row
 
+    def test_postmortem_replay_refuses_a_version_1_bundle(
+        self, workdir, tmp_path, capsys
+    ):
+        """Version 1 bundles stored six-field record dicts; replay reads
+        only wire rows, so it says so on one line and exits 1."""
+        model = workdir[3]
+        bundle = tmp_path / "inc-0001-shard_restart"
+        bundle.mkdir()
+        (bundle / "manifest.json").write_text(json.dumps({
+            "bundle_version": 1, "id": bundle.name,
+            "kind": "shard_restart",
+        }))
+        capsys.readouterr()
+        rc = main(["postmortem", "--bundle", str(bundle), "--replay",
+                   "--model", str(model)])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:") and "version 1" in err[0]
+
 
 class TestObservabilityFlags:
     def test_quiet_silences_stdout(self, tmp_path, capsys):

@@ -178,7 +178,7 @@ class TestShard:
             rec(small_scenario.train_end),
         ) == {"accepted": 1, "rejected": 2}
         assert shard.rejected == 2
-        assert [r.timestamp for r in shard.queue] == [
+        assert shard.queue.view().timestamps.tolist() == [
             small_scenario.train_end
         ]
 
@@ -198,7 +198,9 @@ class TestShard:
             "accepted": 2, "shed": 6,
         }
         assert shard.shed == 6
-        assert [r.timestamp for r in shard.queue][4:] == [t0 + 13, t0 + 17]
+        assert shard.queue.view().timestamps.tolist()[4:] == [
+            t0 + 13, t0 + 17
+        ]
         # severe records always get through, even past the cap
         assert offer(shard, rec(t0 + 30, severity=Severity.FAILURE)) == {
             "accepted": 1
@@ -289,7 +291,8 @@ class TestOfferBatch:
             want = Counter(verdicts[a:b])
             assert got == {v: want[v] for v in got}
         accepted = [r for r, v in zip(records, verdicts) if v == "accepted"]
-        assert list(shard.queue)[case["queue_len"]:] == accepted
+        queued = shard.queue.view()[case["queue_len"]:]
+        assert queued.to_records() == accepted
         assert shard._overflow == overflow
         shed = [r for r, v in zip(records, verdicts) if v == "shed"]
         assert shard.shed == len(shed)
@@ -333,6 +336,8 @@ class TestRouter:
     def test_dead_letter_ring_is_bounded(
         self, fitted_elsa, small_scenario
     ):
+        """The ring holds at most ``dead_letter_cap`` records over all
+        its segments, trimming the oldest rows first."""
         import copy
 
         policy = FleetPolicy(dead_letter_cap=10)
@@ -344,11 +349,18 @@ class TestRouter:
         router = IngestionRouter(
             {"R00": shard}, rack_subtree_key(1), policy
         )
-        router.route_batch(RecordBatch.from_records(
-            [rec(small_scenario.train_end, location="R9-M")] * 50
-        ))
-        assert len(router.dead_letter) == 10
-        assert router.stats["dead_lettered"] == 50
+        t0 = small_scenario.train_end
+        for k in range(6):
+            router.route_batch(RecordBatch.from_records(
+                [rec(t0 + 4 * k + i, location="R9-M") for i in range(4)]
+            ))
+        assert router.info()["dead_letter_depth"] == 10
+        segments = [seg for _, _, seg in router.dead_letter]
+        assert [len(seg) for seg in segments] == [2, 4, 4]
+        kept = RecordBatch.concat(segments)
+        assert kept.timestamps.tolist() == [t0 + i for i in range(14, 24)]
+        assert router.stats["dead_lettered"] == 24
+        assert obs.counter("fleet.dead_letters").value == 24.0
 
 
 # ---------------------------------------------------------------------------

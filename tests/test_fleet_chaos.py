@@ -191,7 +191,9 @@ class TestSupervisionPolicy:
         assert reg.get("fleet.dead_letters").value > 0
         # fenced traffic is preserved (bounded) for the operator
         assert fleet.router.stats["dead_lettered"] > 0
-        assert len(fleet.router.dead_letter) <= policy.dead_letter_cap
+        assert fleet.router.info()["dead_letter_depth"] <= (
+            policy.dead_letter_cap
+        )
         # siblings never noticed
         for tenant in tenants:
             if tenant != victim:

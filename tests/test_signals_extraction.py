@@ -139,8 +139,8 @@ class TestExtractSignals:
         assert s.signal(1).tolist() == [0, 2]
 
     def test_explicit_ids_override(self):
-        """The ids passed in pick the channel, not the batch's generator
-        ``event_types``."""
+        """The ids passed in pick the channel: the records' generator
+        ``event_type`` does not reach the batch."""
         s = extract_signals(self._batch(), np.array([1, 1, 1]), t_end=20.0)
         assert s.signal(1).sum() == 3
 
